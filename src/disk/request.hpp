@@ -6,23 +6,34 @@
 
 namespace eas::disk {
 
+/// Who issued a request. Foreground requests come from the trace; the other
+/// origins are copies and traffic the storage system synthesizes itself.
+enum class Origin : std::uint8_t {
+  kForeground = 0,  ///< a trace request
+  kHedge = 1,       ///< second copy of a foreground read; shares its id
+  kRebuild = 2,     ///< re-replication read or write; id is the rebuild epoch
+  kDestage = 3,     ///< write-back of a dirty cache block
+};
+
 /// A read request for one data block (the paper: ~512 KB file block).
 struct Request {
   RequestId id = 0;
   DataId data = kInvalidData;
+  /// Rebuild traffic only: the disk being re-replicated onto.
+  DiskId target = kInvalidDisk;
   unsigned long size_bytes = 512 * 1024;
   /// Direction. Disks serve both identically (the paper's service model is
   /// symmetric); the cache tier branches on it — reads probe the block
   /// cache, writes may be absorbed by the write-back buffer.
   bool is_read = true;
+  /// Rebuild and destage traffic competes for disk time like any request
+  /// but is excluded from the foreground response-time and availability
+  /// metrics. An id is unique only within its origin.
+  Origin origin = Origin::kForeground;
   /// When the request entered the storage system.
   sim::SimTime arrival_time = 0.0;
   /// When the scheduler dispatched it to a disk (>= arrival under batching).
   sim::SimTime dispatch_time = 0.0;
-  /// Internal traffic (rebuild/scrub re-replication) synthesized by the
-  /// storage system itself: competes for disk time like any request but is
-  /// excluded from the foreground response-time and availability metrics.
-  bool internal = false;
 };
 
 /// Completion record emitted by a disk.

@@ -1,5 +1,6 @@
 #include "runner/emit.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -221,36 +222,27 @@ const CellResult* fault_free_twin(const std::vector<CellResult>& results,
   return nullptr;
 }
 
+/// True when some cell ran ok with the tier flag `enabled` set.
+bool any_ok_cell(const std::vector<CellResult>& results,
+                 bool storage::RunResult::*enabled) {
+  return std::any_of(results.begin(), results.end(), [&](const CellResult& r) {
+    return r.status == CellStatus::kOk && r.result.*enabled;
+  });
+}
+
 }  // namespace
 
 void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
                 EmitFormat format) {
-  // Availability columns appear only when some cell actually injected
-  // faults, so fault-free sweep output is byte-identical to the historical
-  // schema (the golden tests pin this).
-  bool any_faults = false;
-  for (const auto& r : results) {
-    if (r.status == CellStatus::kOk && r.result.faults_enabled) {
-      any_faults = true;
-      break;
-    }
-  }
-  // Cache columns follow the same enabled-only rule as the fault columns.
-  bool any_cache = false;
-  for (const auto& r : results) {
-    if (r.status == CellStatus::kOk && r.result.cache_enabled) {
-      any_cache = true;
-      break;
-    }
-  }
-  // As do the reliability columns.
-  bool any_reliability = false;
-  for (const auto& r : results) {
-    if (r.status == CellStatus::kOk && r.result.reliability_enabled) {
-      any_reliability = true;
-      break;
-    }
-  }
+  // Each tier's columns appear only when some cell actually enabled it, so
+  // tier-free sweep output is byte-identical to the historical schema (the
+  // golden tests pin this).
+  const bool any_faults =
+      any_ok_cell(results, &storage::RunResult::faults_enabled);
+  const bool any_cache =
+      any_ok_cell(results, &storage::RunResult::cache_enabled);
+  const bool any_reliability =
+      any_ok_cell(results, &storage::RunResult::reliability_enabled);
 
   if (format == EmitFormat::kJson) {
     util::JsonWriter w(os);

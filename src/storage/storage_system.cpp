@@ -185,6 +185,21 @@ std::string RunResult::to_json(bool include_disks) const {
 
 namespace {
 
+disk::Request make_request(RequestId id, const trace::TraceRecord& rec) {
+  disk::Request r;
+  r.id = id;
+  r.data = rec.data;
+  r.size_bytes = rec.size_bytes;
+  r.is_read = rec.is_read;
+  r.arrival_time = rec.time;
+  r.dispatch_time = rec.time;
+  return r;
+}
+
+/// Health check a replica must pass: readable to source a read, accepting
+/// I/O to take a write. Every replica passes both in fault-free runs.
+enum class Need { kReadable, kWritable };
+
 /// The live system: Fig 1's component wiring around the event kernel, plus
 /// (when the config carries a fault profile) the degraded-mode machinery:
 /// queue drain + failover on disk death, unavailability accounting, and a
@@ -206,46 +221,6 @@ class System final : public core::SystemView {
     }
     if (config_.obs.metrics) {
       metrics_ = std::make_shared<obs::MetricRegistry>();
-      // Registered up front in one fixed order so the registry's JSON (and
-      // any merge across sweep cells) is schema-stable.
-      m_completed_ = metrics_->counter("requests_completed");
-      m_waited_ = metrics_->counter("requests_waited_spinup");
-      m_failovers_ = metrics_->counter("failovers");
-      m_unavailable_ = metrics_->counter("unavailable_requests");
-      m_batches_ = metrics_->counter("batches_formed");
-      m_batch_size_ = metrics_->summary("batch_size");
-      m_queue_depth_ = metrics_->summary("queue_depth");
-      m_response_ = metrics_->histogram("response_seconds", 1e-4, 100.0, 10);
-      metrics_->counter("spin_ups");
-      metrics_->counter("spin_downs");
-      metrics_->gauge("total_energy_joules");
-      metrics_->gauge("energy_per_request_joules");
-      for (int s = 0; s < disk::kNumDiskStates; ++s) {
-        metrics_->summary(std::string("disk_seconds_") +
-                          disk::to_string(static_cast<disk::DiskState>(s)));
-      }
-      // Cache metrics come after the fixed prelude and only exist for
-      // cache-enabled runs, so the cache-off registry stays schema-stable.
-      if (config_.cache.enabled) {
-        m_cache_hits_ = metrics_->counter("cache_hits");
-        m_cache_misses_ = metrics_->counter("cache_misses");
-        m_writes_buffered_ = metrics_->counter("cache_writes_buffered");
-        m_destage_batches_ = metrics_->counter("destage_batches");
-        m_destaged_blocks_ = metrics_->counter("destaged_blocks");
-        m_dirty_occupancy_ = metrics_->summary("dirty_occupancy");
-        metrics_->gauge("cache_hit_ratio");
-        metrics_->gauge("cache_memory_energy_joules");
-      }
-      // Reliability metrics follow the same enabled-only rule, after the
-      // cache block, so existing registries stay schema-stable.
-      if (config_.reliability.enabled) {
-        m_deadline_misses_ = metrics_->counter("deadline_misses");
-        m_retries_ = metrics_->counter("retries");
-        m_hedges_issued_ = metrics_->counter("hedges_issued");
-        m_hedge_wins_ = metrics_->counter("hedge_wins");
-        m_shed_ = metrics_->counter("shed_requests");
-        m_abandoned_ = metrics_->counter("abandoned_requests");
-      }
     }
     if (config_.cache.enabled) {
       if (config_.cache.capacity_blocks > 0) {
@@ -353,13 +328,25 @@ class System final : public core::SystemView {
   }
 
   sim::Simulator& simulator() { return sim_; }
-  const std::vector<disk::Disk*>& disk_ptrs() const { return disk_ptrs_; }
+  /// Trace requests that have arrived so far.
+  std::size_t arrivals() const { return arrivals_; }
 
-  /// Called by the run_* drivers when a request enters the system (before
-  /// any scheduling decision).
-  void note_arrival(const disk::Request& r) {
-    EAS_OBS(sim_.recorder(),
-            request_event(sim_.now(), obs::Ev::kArrive, r.id, r.data));
+  /// Schedules the arrival of every trace request. At its time a request is
+  /// traced and offered to the cache tier; unless the tier absorbed it (it
+  /// then completes at DRAM latency and must not be routed) it is handed to
+  /// `on_arrival`, which must outlive the run. With the tier disabled the
+  /// offer is a single branch and the disk path is untouched.
+  template <typename OnArrival>
+  void schedule_arrivals(const trace::Trace& trace, OnArrival& on_arrival) {
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      sim_.schedule_at(trace[i].time, [this, &trace, &on_arrival, i] {
+        const disk::Request r = make_request(i, trace[i]);
+        ++arrivals_;
+        EAS_OBS(sim_.recorder(),
+                request_event(sim_.now(), obs::Ev::kArrive, r.id, r.data));
+        if (!cache_absorb(r)) on_arrival(r);
+      });
+    }
   }
 
   /// Called by the batch driver each time a non-empty batch is assigned.
@@ -367,22 +354,7 @@ class System final : public core::SystemView {
     EAS_OBS(sim_.recorder(),
             batch_formed(sim_.now(), batch_seq_, size));
     ++batch_seq_;
-    if (metrics_ != nullptr) {
-      ++*m_batches_;
-      m_batch_size_->add(static_cast<double>(size));
-    }
-  }
-
-  /// Cache tier front-end, consulted by every driver after note_arrival and
-  /// before any scheduling decision. Returns true when the tier absorbed
-  /// the request (it completes at DRAM latency and must not be routed);
-  /// false sends it down the ordinary disk path. With the tier disabled
-  /// this is a single branch and the disk path is untouched — bit-identical
-  /// to pre-cache behavior.
-  bool cache_absorb(const disk::Request& r) {
-    if (!config_.cache.enabled) return false;
-    if (r.is_read) return absorb_read(r);
-    return absorb_write(r);
+    if (metrics_ != nullptr) batch_size_.add(static_cast<double>(size));
   }
 
   /// `horizon` bounds fault injection (typically trace.end_time()): no
@@ -437,10 +409,6 @@ class System final : public core::SystemView {
       dispatch(r, k);
       return;
     }
-    // Foreground ids must leave the top three bits clear — the internal /
-    // destage / hedge tags live there.
-    EAS_REQUIRE_MSG((r.id & (kInternalBit | kDestageBit | kHedgeBit)) == 0,
-                    "foreground request id " << r.id << " collides with tags");
     auto [it, inserted] = inflight_.try_emplace(r.id, InFlight{r, {}});
     EAS_ASSERT_MSG(inserted, "duplicate foreground request id");
     attempt(r.id, it->second, k);
@@ -466,12 +434,13 @@ class System final : public core::SystemView {
                     "dispatch to failed disk " << k);
     r.dispatch_time = sim_.now();
     EAS_OBS(sim_.recorder(),
-            request_event(sim_.now(), obs::Ev::kDispatch, r.id, k));
+            request_event(sim_.now(), obs::Ev::kDispatch, r.id, k, 0,
+                          static_cast<std::uint16_t>(r.origin)));
     policy_.on_disk_activity(sim_, *disks_[k]);
     disks_[k]->submit(r);
     // Depth including the new request: the backlog this dispatch joined.
-    if (m_queue_depth_ != nullptr) {
-      m_queue_depth_->add(static_cast<double>(disks_[k]->queued_requests()));
+    if (metrics_ != nullptr) {
+      queue_depth_.add(static_cast<double>(disks_[k]->queued_requests()));
     }
   }
 
@@ -505,41 +474,12 @@ class System final : public core::SystemView {
           config_.cache.memory_energy_joules(horizon);
       r.cache_enabled = true;
       r.cache_stats = cache_stats_;
-      if (metrics_ != nullptr) {
-        *metrics_->gauge("cache_hit_ratio") = cache_stats_.hit_ratio();
-        *metrics_->gauge("cache_memory_energy_joules") =
-            cache_stats_.memory_energy_joules;
-      }
     }
     if (config_.reliability.enabled) {
       r.reliability_enabled = true;
       r.reliability_stats = rel_stats_;
     }
-    if (metrics_ != nullptr) {
-      // End-of-run aggregates: per-disk state-time summaries and the energy
-      // gauges. Disks are folded in id order, so the Welford state is a pure
-      // function of the run.
-      std::uint64_t ups = 0;
-      std::uint64_t downs = 0;
-      for (int s = 0; s < disk::kNumDiskStates; ++s) {
-        stats::SummaryStats* per_state = metrics_->summary(
-            std::string("disk_seconds_") +
-            disk::to_string(static_cast<disk::DiskState>(s)));
-        for (const auto& ds : r.disk_stats) {
-          per_state->add(ds.seconds_in_state[s]);
-        }
-      }
-      for (const auto& ds : r.disk_stats) {
-        ups += ds.spin_ups;
-        downs += ds.spin_downs;
-      }
-      *metrics_->counter("spin_ups") = ups;
-      *metrics_->counter("spin_downs") = downs;
-      *metrics_->gauge("total_energy_joules") = r.total_energy();
-      *metrics_->gauge("energy_per_request_joules") =
-          completed_ > 0 ? r.total_energy() / static_cast<double>(completed_)
-                         : 0.0;
-    }
+    if (metrics_ != nullptr) publish_metrics(r);
     r.trace_recorder = recorder_;
     r.metrics = metrics_;
     return r;
@@ -560,33 +500,85 @@ class System final : public core::SystemView {
     bool writing = false;      ///< current item's phase
   };
 
-  static constexpr RequestId kInternalBit = RequestId{1} << 63;
-  /// Distinguishes destage writes from rebuild traffic inside the internal
-  /// id space; both carry the target disk in bits [32,62). The target field
-  /// is exactly 30 bits wide so it can never bleed into kDestageBit.
-  static constexpr RequestId kDestageBit = RequestId{1} << 62;
-  /// Tags the hedge copy of a foreground read. Hedge copies are *not*
-  /// internal (their completion is a real foreground completion), so this
-  /// bit only ever appears with kInternalBit clear and cannot collide with
-  /// the internal target field, which occupies bits [32,62) of internal ids
-  /// only. Foreground ids are trace indices, far below bit 61.
-  static constexpr RequestId kHedgeBit = RequestId{1} << 61;
-  static constexpr RequestId kTargetMask = (RequestId{1} << 30) - 1;
-  static RequestId internal_id(DiskId target, std::uint32_t epoch) {
-    EAS_REQUIRE((target & ~kTargetMask) == 0);
-    return kInternalBit | (static_cast<RequestId>(target) << 32) | epoch;
+  /// Fills the registry in one fixed order, so its JSON (and any merge
+  /// across sweep cells) is schema-stable; tier metrics follow the prelude
+  /// and exist only for runs that enabled the tier. Only batch_size,
+  /// queue_depth and dirty_occupancy were kept live; every other value is
+  /// copied from the run's own counters.
+  /// Disks are folded in id order and histogram bins are order-free counts,
+  /// so every value is the one live updates would have produced.
+  void publish_metrics(const RunResult& r) {
+    obs::MetricRegistry& m = *metrics_;
+    *m.counter("requests_completed") = r.total_requests;
+    *m.counter("requests_waited_spinup") = r.requests_waited_spinup;
+    *m.counter("failovers") = r.fault_stats.failovers;
+    *m.counter("unavailable_requests") = r.fault_stats.unavailable_requests;
+    *m.counter("batches_formed") = batch_seq_;
+    *m.summary("batch_size") = batch_size_;
+    *m.summary("queue_depth") = queue_depth_;
+    stats::Histogram* response =
+        m.histogram("response_seconds", 1e-4, 100.0, 10);
+    for (const double x : r.response_times.sorted()) response->add(x);
+    *m.counter("spin_ups") = r.total_spin_ups();
+    *m.counter("spin_downs") = r.total_spin_downs();
+    *m.gauge("total_energy_joules") = r.total_energy();
+    *m.gauge("energy_per_request_joules") =
+        r.total_requests > 0
+            ? r.total_energy() / static_cast<double>(r.total_requests)
+            : 0.0;
+    for (int s = 0; s < disk::kNumDiskStates; ++s) {
+      stats::SummaryStats* per_state = m.summary(
+          std::string("disk_seconds_") +
+          disk::to_string(static_cast<disk::DiskState>(s)));
+      for (const auto& ds : r.disk_stats) {
+        per_state->add(ds.seconds_in_state[s]);
+      }
+    }
+    if (r.cache_enabled) {
+      const cache::CacheStats& c = r.cache_stats;
+      *m.counter("cache_hits") = c.hits_clean + c.hits_dirty;
+      *m.counter("cache_misses") = c.misses;
+      *m.counter("cache_writes_buffered") = c.writes_buffered;
+      *m.counter("destage_batches") = c.destage_batches;
+      *m.counter("destaged_blocks") = c.destaged_blocks;
+      *m.summary("dirty_occupancy") = dirty_occupancy_;
+      *m.gauge("cache_hit_ratio") = c.hit_ratio();
+      *m.gauge("cache_memory_energy_joules") = c.memory_energy_joules;
+    }
+    if (r.reliability_enabled) {
+      const reliability::ReliabilityStats& rs = r.reliability_stats;
+      *m.counter("deadline_misses") = rs.deadline_misses;
+      *m.counter("retries") = rs.retries;
+      *m.counter("hedges_issued") = rs.hedges_issued;
+      *m.counter("hedge_wins") = rs.hedge_wins;
+      *m.counter("shed_requests") = rs.shed;
+      *m.counter("abandoned_requests") = rs.abandoned;
+    }
   }
-  static RequestId destage_id(DiskId target, std::uint32_t seq) {
-    EAS_REQUIRE((target & ~kTargetMask) == 0);
-    return kInternalBit | kDestageBit |
-           (static_cast<RequestId>(target) << 32) | seq;
-  }
-  static bool is_destage(RequestId id) { return (id & kDestageBit) != 0; }
-  static DiskId internal_target(RequestId id) {
-    return static_cast<DiskId>((id >> 32) & kTargetMask);
+
+  /// First location of `b` other than `skip` that passes the `need` health
+  /// check, or kInvalidDisk when none does.
+  DiskId first_replica(DataId b, DiskId skip, Need need) const {
+    for (const DiskId loc : placement_.locations(b)) {
+      if (loc == skip) continue;
+      if (view_ == nullptr || (need == Need::kReadable
+                                   ? view_->replica_readable(b, loc)
+                                   : view_->accepts_io(loc))) {
+        return loc;
+      }
+    }
+    return kInvalidDisk;
   }
 
   // ---- cache tier ----
+
+  /// Cache tier front-end: returns true when the tier absorbed the request,
+  /// false sends it down the ordinary disk path.
+  bool cache_absorb(const disk::Request& r) {
+    if (!config_.cache.enabled) return false;
+    if (r.is_read) return absorb_read(r);
+    return absorb_write(r);
+  }
 
   bool absorb_read(const disk::Request& r) {
     ++cache_stats_.lookups;
@@ -594,7 +586,6 @@ class System final : public core::SystemView {
     // stale until destage), so it always serves — even degraded.
     if (wb_ != nullptr && wb_->contains(r.data)) {
       ++cache_stats_.hits_dirty;
-      if (m_cache_hits_ != nullptr) ++*m_cache_hits_;
       EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kCacheHit,
                                            r.id, r.data, /*dirty=*/1));
       complete_from_cache(r);
@@ -609,19 +600,16 @@ class System final : public core::SystemView {
         read_cache_->erase(r.data);
         ++cache_stats_.lost_copies_dropped;
         ++cache_stats_.misses;
-        if (m_cache_misses_ != nullptr) ++*m_cache_misses_;
         return false;
       }
       read_cache_->lookup(r.data);  // promote
       ++cache_stats_.hits_clean;
-      if (m_cache_hits_ != nullptr) ++*m_cache_hits_;
       EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kCacheHit,
                                            r.id, r.data, /*dirty=*/0));
       complete_from_cache(r);
       return true;
     }
     ++cache_stats_.misses;
-    if (m_cache_misses_ != nullptr) ++*m_cache_misses_;
     EAS_OBS(sim_.recorder(),
             cache_event(sim_.now(), obs::Ev::kCacheMiss, r.id, r.data));
     return false;
@@ -636,13 +624,7 @@ class System final : public core::SystemView {
     // Home = first replica location accepting I/O; deterministic, and the
     // destage lands on a disk that stores the block by construction. All
     // replicas dead => the write is unavailable (cache must not hide it).
-    DiskId home = kInvalidDisk;
-    for (const DiskId loc : placement_.locations(r.data)) {
-      if (view_ == nullptr || view_->accepts_io(loc)) {
-        home = loc;
-        break;
-      }
-    }
+    const DiskId home = first_replica(r.data, kInvalidDisk, Need::kWritable);
     if (home == kInvalidDisk) {
       note_unavailable();
       return true;  // absorbed: there is no disk to route it to
@@ -655,29 +637,15 @@ class System final : public core::SystemView {
       return false;
     }
     ++cache_stats_.writes_buffered;
-    if (m_writes_buffered_ != nullptr) ++*m_writes_buffered_;
-    if (m_dirty_occupancy_ != nullptr) {
-      m_dirty_occupancy_->add(static_cast<double>(wb_->size()));
+    if (metrics_ != nullptr) {
+      dirty_occupancy_.add(static_cast<double>(wb_->size()));
     }
     EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kWriteBuffered,
                                          r.id, r.data, home));
     // The buffered copy supersedes any clean cached one.
     if (read_cache_ != nullptr) read_cache_->erase(r.data);
     complete_from_cache(r);
-    if (fresh) {
-      // Deadline backstop for this admission. The admission time doubles as
-      // an incarnation token: if the block destages and is re-admitted, the
-      // stale event no-ops and the fresh admission armed its own.
-      const DataId b = r.data;
-      const double admit = sim_.now();
-      sim_.schedule_in(config_.cache.destage_deadline_seconds,
-                       [this, b, admit] {
-                         if (wb_ == nullptr || !wb_->is_pending(b)) return;
-                         if (wb_->buffered_at(b) != admit) return;
-                         destage_batch(wb_->home_of(b),
-                                       cache::DestageReason::kDeadline);
-                       });
-    }
+    if (fresh) arm_destage_deadline(r.data);
     // Opportunistic flush: the home disk is spinning with an empty queue,
     // so the write-back costs no extra spin-up.
     if (disks_[home]->state() == disk::DiskState::Idle &&
@@ -688,19 +656,31 @@ class System final : public core::SystemView {
     return true;
   }
 
+  /// Deadline backstop for dirty block `b`, admitted now. The admission time
+  /// doubles as an incarnation token: if the block destages and is
+  /// re-admitted, the stale event no-ops and the fresh admission armed its
+  /// own.
+  void arm_destage_deadline(DataId b) {
+    const double admit = sim_.now();
+    sim_.schedule_in(config_.cache.destage_deadline_seconds,
+                     [this, b, admit] {
+                       if (wb_ == nullptr || !wb_->is_pending(b)) return;
+                       if (wb_->buffered_at(b) != admit) return;
+                       destage_batch(wb_->home_of(b),
+                                     cache::DestageReason::kDeadline);
+                     });
+  }
+
   /// Completes an absorbed request at DRAM latency: it never touches a
   /// disk, but it is a foreground completion like any other.
   void complete_from_cache(const disk::Request& r) {
-    sim_.schedule_in(config_.cache.dram_latency_seconds, [this, r] {
-      const double t = sim_.now();
-      last_completion_ = std::max(last_completion_, t);
-      ++completed_;
-      responses_.add(t - r.arrival_time);
-      if (metrics_ != nullptr) {
-        ++*m_completed_;
-        m_response_->add(t - r.arrival_time);
-      }
-    });
+    sim_.schedule_in(config_.cache.dram_latency_seconds,
+                     [this, arrival = r.arrival_time] {
+                       const double t = sim_.now();
+                       last_completion_ = std::max(last_completion_, t);
+                       ++completed_;
+                       responses_.add(t - arrival);
+                     });
   }
 
   void insert_clean(DataId b) {
@@ -724,18 +704,16 @@ class System final : public core::SystemView {
     } else {
       ++cache_stats_.destage_forced;
     }
-    if (m_destage_batches_ != nullptr) ++*m_destage_batches_;
-    if (m_destaged_blocks_ != nullptr) *m_destaged_blocks_ += n;
     EAS_OBS(sim_.recorder(),
             cache_event(sim_.now(), obs::Ev::kDestageBegin, k, n,
                         static_cast<std::uint32_t>(reason)));
     for (const DataId b : destage_buf_) {
       disk::Request w;
-      w.id = destage_id(k, destage_seq_++);
+      w.id = destage_seq_++;
       w.data = b;
       w.size_bytes = config_.cache.block_bytes;
       w.arrival_time = sim_.now();
-      w.internal = true;
+      w.origin = disk::Origin::kDestage;
       w.is_read = false;
       dispatch_unchecked(w, k);
     }
@@ -766,8 +744,8 @@ class System final : public core::SystemView {
     if (wb_ == nullptr || !wb_->complete(b)) return;
     EAS_OBS(sim_.recorder(), cache_event(sim_.now(), obs::Ev::kDestageDone,
                                          c.disk, b));
-    if (m_dirty_occupancy_ != nullptr) {
-      m_dirty_occupancy_->add(static_cast<double>(wb_->size()));
+    if (metrics_ != nullptr) {
+      dirty_occupancy_.add(static_cast<double>(wb_->size()));
     }
     // The block is clean on disk now and demonstrably warm: admit it.
     if (read_cache_ != nullptr) insert_clean(b);
@@ -784,22 +762,6 @@ class System final : public core::SystemView {
   };
   using InFlightMap = std::unordered_map<RequestId, InFlight>;
 
-  /// First live replica of `data`, preferring one != `avoid`; falls back to
-  /// `avoid` itself when it is the only live location. kInvalidDisk when no
-  /// live replica remains (only possible with a failure view).
-  DiskId pick_replica(DataId data, DiskId avoid) const {
-    DiskId fallback = kInvalidDisk;
-    for (const DiskId loc : placement_.locations(data)) {
-      if (view_ != nullptr && !view_->replica_readable(data, loc)) continue;
-      if (loc == avoid) {
-        fallback = loc;
-        continue;
-      }
-      return loc;
-    }
-    return fallback;
-  }
-
   /// Releases one planned-hedge pin on `k`. If that was the last pin and
   /// the disk sits idle with nothing queued, the power policy is re-kicked
   /// — it skipped arming its spin-down timer while the pin was up, and no
@@ -813,49 +775,66 @@ class System final : public core::SystemView {
     }
   }
 
-  /// Cancels timers, releases any planned-hedge pin, pulls a still-queued
-  /// hedge copy back from its disk (no-op when it already completed or its
-  /// disk drained), and erases the entry. Every path that retires a request
-  /// — completion, shed, abandonment — funnels through here, so no closed
-  /// request can leave a stray copy in a queue.
+  /// Cancels a planned hedge: its timer and the pin on its alternate.
+  void drop_hedge_plan(reliability::RequestState& st) {
+    sim_.cancel(st.hedge_timer);
+    st.hedge_timer = {};
+    if (st.hedge_planned == kInvalidDisk) return;
+    release_hedge_pin(st.hedge_planned);
+    st.hedge_planned = kInvalidDisk;
+  }
+
+  /// Drops the planned hedge and pulls a still-queued hedge copy back from
+  /// its disk (a no-op when it already completed or its disk drained).
+  void recall_hedge(RequestId id, reliability::RequestState& st) {
+    drop_hedge_plan(st);
+    if (st.hedge_disk == kInvalidDisk) return;
+    disks_[st.hedge_disk]->remove_pending(id, disk::Origin::kHedge);
+    st.hedge_disk = kInvalidDisk;
+  }
+
+  /// Cancels the deadline, recalls the hedge, and erases the entry. Every
+  /// path that retires a request — completion, shed, abandonment,
+  /// unavailability — funnels through here, so no closed request can leave
+  /// a stray copy in a queue.
   void close_entry(InFlightMap::iterator it) {
-    InFlight& f = it->second;
-    f.st.cancel_timers(sim_);
-    if (f.st.hedge_planned != kInvalidDisk) {
-      release_hedge_pin(f.st.hedge_planned);
-      f.st.hedge_planned = kInvalidDisk;
-    }
-    if (f.st.hedge_disk != kInvalidDisk) {
-      disks_[f.st.hedge_disk]->remove_pending(it->first | kHedgeBit);
-      f.st.hedge_disk = kInvalidDisk;
-    }
+    sim_.cancel(it->second.st.deadline);
+    recall_hedge(it->first, it->second.st);
     inflight_.erase(it);
+  }
+
+  /// Retires an entry whose read admission control dropped at disk `k`.
+  void shed(InFlightMap::iterator it, DiskId k) {
+    ++rel_stats_.shed;
+    EAS_OBS(sim_.recorder(),
+            reliability_event(sim_.now(), obs::Ev::kShed, it->first, k));
+    close_entry(it);
+  }
+
+  /// Retires an entry whose attempt budget is spent; `k` is its last disk.
+  void abandon(InFlightMap::iterator it, DiskId k) {
+    ++rel_stats_.abandoned;
+    EAS_OBS(sim_.recorder(),
+            reliability_event(sim_.now(), obs::Ev::kAbandon, it->first, k,
+                              it->second.st.attempts));
+    close_entry(it);
   }
 
   /// Admission-control eviction of one queued entry on disk `k` to make
   /// room. A hedge-copy victim just loses its copy (the primary races on);
   /// a primary victim is shed outright — both its copies leave the queues
   /// and the request is dropped, counted, and traced.
-  void shed_victim(RequestId victim, DiskId k) {
-    const bool removed = disks_[k]->remove_pending(victim);
+  void shed_victim(RequestId victim, disk::Origin origin, DiskId k) {
+    [[maybe_unused]] const bool removed =
+        disks_[k]->remove_pending(victim, origin);
     EAS_ASSERT_MSG(removed, "shed victim vanished from the queue");
-    const RequestId base = victim & ~kHedgeBit;
-    auto vit = inflight_.find(base);
+    auto vit = inflight_.find(victim);
     if (vit == inflight_.end()) return;
-    InFlight& vf = vit->second;
-    if ((victim & kHedgeBit) != 0) {
-      vf.st.hedge_disk = kInvalidDisk;
+    if (origin == disk::Origin::kHedge) {
+      vit->second.st.hedge_disk = kInvalidDisk;
       return;
     }
-    if (vf.st.hedge_disk != kInvalidDisk) {
-      disks_[vf.st.hedge_disk]->remove_pending(base | kHedgeBit);
-      vf.st.hedge_disk = kInvalidDisk;
-    }
-    ++rel_stats_.shed;
-    if (m_shed_ != nullptr) ++*m_shed_;
-    EAS_OBS(sim_.recorder(),
-            reliability_event(sim_.now(), obs::Ev::kShed, base, k));
-    close_entry(vit);
+    shed(vit, k);
   }
 
   /// One dispatch attempt of the entry for `id` onto disk `k`: admission
@@ -874,17 +853,13 @@ class System final : public core::SystemView {
         // overflow is admitted and counted so the operator sees it.
         ++rel_stats_.writes_degraded;
       } else {
-        const RequestId victim = disks_[k]->oldest_queued_read();
-        if (victim == kInvalidRequest) {
+        const disk::Request* victim = disks_[k]->oldest_queued_read();
+        if (victim == nullptr) {
           // The backlog is writes/in-service work: shed the incoming read.
-          ++rel_stats_.shed;
-          if (m_shed_ != nullptr) ++*m_shed_;
-          EAS_OBS(sim_.recorder(),
-                  reliability_event(sim_.now(), obs::Ev::kShed, id, k));
-          close_entry(inflight_.find(id));
+          shed(inflight_.find(id), k);
           return;
         }
-        shed_victim(victim, k);
+        shed_victim(victim->id, victim->origin, k);
       }
     }
     ++f.st.attempts;
@@ -906,22 +881,9 @@ class System final : public core::SystemView {
     if (config_.reliability.hedge_delay_seconds <= 0.0 || !f.request.is_read) {
       return;
     }
-    sim_.cancel(f.st.hedge_timer);
-    f.st.hedge_timer = {};
-    if (f.st.hedge_planned != kInvalidDisk) {
-      release_hedge_pin(f.st.hedge_planned);
-      f.st.hedge_planned = kInvalidDisk;
-    }
+    drop_hedge_plan(f.st);
     if (f.st.hedge_disk != kInvalidDisk) return;  // a copy is already racing
-    DiskId alt = kInvalidDisk;
-    for (const DiskId loc : placement_.locations(f.request.data)) {
-      if (loc == k) continue;
-      if (view_ != nullptr && !view_->replica_readable(f.request.data, loc)) {
-        continue;
-      }
-      alt = loc;
-      break;
-    }
+    const DiskId alt = first_replica(f.request.data, k, Need::kReadable);
     if (alt == kInvalidDisk) return;  // un-replicated (or all alternates dead)
     ++hedge_pins_[alt];
     f.st.hedge_planned = alt;
@@ -948,30 +910,23 @@ class System final : public core::SystemView {
       release_hedge_pin(target);
       return;
     }
+    // No policy kick: the copy is dispatched to the pinned disk this
+    // instant, or the disk died during the window.
+    --hedge_pins_[target];
     if (view_ != nullptr && !view_->replica_readable(f.request.data, target)) {
-      --hedge_pins_[target];  // died during the window: no policy kick needed
-      target = kInvalidDisk;
-      for (const DiskId loc : placement_.locations(f.request.data)) {
-        if (loc == f.st.primary) continue;
-        if (!view_->replica_readable(f.request.data, loc)) continue;
-        target = loc;
-        break;
-      }
+      target = first_replica(f.request.data, f.st.primary, Need::kReadable);
       if (target == kInvalidDisk) return;  // no live alternate left
-    } else {
-      --hedge_pins_[target];  // dispatching to it this instant
     }
     const std::uint32_t cap = config_.reliability.max_queue_depth;
     if (cap > 0 && disks_[target]->queued_requests() >= cap) {
       return;  // full queue: skip the hedge rather than shed for a copy
     }
     ++rel_stats_.hedges_issued;
-    if (m_hedges_issued_ != nullptr) ++*m_hedges_issued_;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kHedgeIssue, id, target));
     f.st.hedge_disk = target;
     disk::Request copy = f.request;
-    copy.id = id | kHedgeBit;
+    copy.origin = disk::Origin::kHedge;
     dispatch(copy, target);
   }
 
@@ -985,28 +940,13 @@ class System final : public core::SystemView {
     InFlight& f = it->second;
     f.st.deadline = {};
     ++rel_stats_.deadline_misses;
-    if (m_deadline_misses_ != nullptr) ++*m_deadline_misses_;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kDeadlineMiss, id,
                               f.st.primary, f.st.attempts));
-    disks_[f.st.primary]->remove_pending(id);
-    sim_.cancel(f.st.hedge_timer);
-    f.st.hedge_timer = {};
-    if (f.st.hedge_planned != kInvalidDisk) {
-      release_hedge_pin(f.st.hedge_planned);
-      f.st.hedge_planned = kInvalidDisk;
-    }
-    if (f.st.hedge_disk != kInvalidDisk) {
-      disks_[f.st.hedge_disk]->remove_pending(id | kHedgeBit);
-      f.st.hedge_disk = kInvalidDisk;
-    }
+    disks_[f.st.primary]->remove_pending(id, disk::Origin::kForeground);
+    recall_hedge(id, f.st);
     if (f.st.attempts >= config_.reliability.max_attempts) {
-      ++rel_stats_.abandoned;
-      if (m_abandoned_ != nullptr) ++*m_abandoned_;
-      EAS_OBS(sim_.recorder(),
-              reliability_event(sim_.now(), obs::Ev::kAbandon, id,
-                                f.st.primary, f.st.attempts));
-      close_entry(it);
+      abandon(it, f.st.primary);
       return;
     }
     f.st.retry_scheduled = true;
@@ -1023,19 +963,18 @@ class System final : public core::SystemView {
     auto it = inflight_.find(id);
     if (it == inflight_.end()) return;  // a late completion won the race
     InFlight& f = it->second;
-    const DiskId pick = pick_replica(f.request.data, f.st.primary);
+    DiskId pick = first_replica(f.request.data, f.st.primary, Need::kReadable);
     if (pick == kInvalidDisk) {
-      if (view_ != nullptr) note_unavailable();
-      ++rel_stats_.abandoned;
-      if (m_abandoned_ != nullptr) ++*m_abandoned_;
-      EAS_OBS(sim_.recorder(),
-              reliability_event(sim_.now(), obs::Ev::kAbandon, id,
-                                f.st.primary, f.st.attempts));
+      pick = first_replica(f.request.data, kInvalidDisk, Need::kReadable);
+    }
+    if (pick == kInvalidDisk) {
+      // No live replica is left: unavailable, as it would be without the
+      // tier. Only possible with a failure view.
+      note_unavailable();
       close_entry(it);
       return;
     }
     ++rel_stats_.retries;
-    if (m_retries_ != nullptr) ++*m_retries_;
     EAS_OBS(sim_.recorder(),
             reliability_event(sim_.now(), obs::Ev::kRetry, id, pick,
                               f.st.attempts + 1));
@@ -1043,52 +982,44 @@ class System final : public core::SystemView {
   }
 
   fault::FaultStats& stats() { return injector_->stats(); }
-
-  void note_failover() {
-    ++stats().failovers;
-    if (m_failovers_ != nullptr) ++*m_failovers_;
-  }
-  void note_unavailable() {
-    ++stats().unavailable_requests;
-    if (m_unavailable_ != nullptr) ++*m_unavailable_;
-  }
+  void note_failover() { ++stats().failovers; }
+  void note_unavailable() { ++stats().unavailable_requests; }
 
   void on_completion(const disk::Completion& c) {
     last_completion_ = std::max(last_completion_, c.completion_time);
-    if (c.request.internal) {
-      on_internal_completion(c);
+    if (c.request.origin == disk::Origin::kDestage) {
+      on_destage_complete(c);
+      return;
+    }
+    if (c.request.origin == disk::Origin::kRebuild) {
+      on_rebuild_complete(c);
       return;
     }
     if (config_.reliability.enabled) {
-      const RequestId base = c.request.id & ~kHedgeBit;
-      auto it = inflight_.find(base);
+      auto it = inflight_.find(c.request.id);
       if (it == inflight_.end()) {
         // Entry already closed: a shed/abandoned request's in-service copy
         // landing late, or the race's loser completing after the winner.
         // Not counted — the request's fate was already accounted.
         return;
       }
-      InFlight& f = it->second;
-      if ((c.request.id & kHedgeBit) != 0) {
+      if (c.request.origin == disk::Origin::kHedge) {
         ++rel_stats_.hedge_wins;
-        if (m_hedge_wins_ != nullptr) ++*m_hedge_wins_;
         EAS_OBS(sim_.recorder(), reliability_event(sim_.now(),
-                                                   obs::Ev::kHedgeWin, base,
-                                                   c.disk));
-        disks_[f.st.primary]->remove_pending(base);
+                                                   obs::Ev::kHedgeWin,
+                                                   c.request.id, c.disk));
+        disks_[it->second.st.primary]->remove_pending(
+            c.request.id, disk::Origin::kForeground);
       }
       close_entry(it);  // cancels timers, pulls back a racing hedge copy
     }
     ++completed_;
     if (c.waited_for_spinup) ++waited_spinup_;
     responses_.add(c.response_seconds());
-    EAS_OBS(sim_.recorder(), request_event(sim_.now(), obs::Ev::kComplete,
-                                           c.request.id, c.disk));
-    if (metrics_ != nullptr) {
-      ++*m_completed_;
-      if (c.waited_for_spinup) ++*m_waited_;
-      m_response_->add(c.response_seconds());
-    }
+    EAS_OBS(sim_.recorder(),
+            request_event(sim_.now(), obs::Ev::kComplete, c.request.id,
+                          c.disk, 0,
+                          static_cast<std::uint16_t>(c.request.origin)));
     // Miss path populates the read cache: the block was just fetched from
     // disk and is the most-recently-used thing in the system.
     if (read_cache_ != nullptr && c.request.is_read) {
@@ -1107,66 +1038,21 @@ class System final : public core::SystemView {
       view_->set_rebuild_pin(sim_.now(), k, false);
     }
     for (const disk::Request& r : disks_[k]->take_pending()) {
-      if (r.internal) {
-        // Queued destage writes die with the disk; their blocks are still
-        // safe in the buffer and get re-homed by the drain below.
-        if (is_destage(r.id)) continue;
-        const DiskId target = internal_target(r.id);
-        if (target == k) continue;  // write onto the dying disk: dropped
+      if (r.origin == disk::Origin::kForeground ||
+          r.origin == disk::Origin::kHedge) {
+        fail_over(r, k);
+      } else if (r.origin == disk::Origin::kRebuild && r.target != k) {
         // A rebuild's source read was queued here; retry from another
         // surviving replica (or count the item lost).
-        if (auto rit = rebuilds_.find(target); rit != rebuilds_.end() &&
-                                               rit->second.epoch ==
-                                                   static_cast<std::uint32_t>(r.id)) {
+        if (auto rit = rebuilds_.find(r.target);
+            rit != rebuilds_.end() && rit->second.epoch == r.id) {
           rit->second.writing = false;
-          advance_rebuild(target);
+          advance_rebuild(r.target);
         }
-        continue;
       }
-      if (config_.reliability.enabled) {
-        // Failover shares the reliability attempt budget: re-dispatch goes
-        // through attempt() so a request bouncing between a dying disk and
-        // its deadline can never exceed max_attempts or double-dispatch.
-        const RequestId base = r.id & ~kHedgeBit;
-        auto fit = inflight_.find(base);
-        if (fit == inflight_.end()) continue;  // already closed elsewhere
-        InFlight& f = fit->second;
-        if ((r.id & kHedgeBit) != 0) {
-          // The hedge copy died with the disk; the primary races on alone.
-          f.st.hedge_disk = kInvalidDisk;
-          continue;
-        }
-        if (f.st.attempts >= config_.reliability.max_attempts) {
-          ++rel_stats_.abandoned;
-          if (m_abandoned_ != nullptr) ++*m_abandoned_;
-          EAS_OBS(sim_.recorder(),
-                  reliability_event(sim_.now(), obs::Ev::kAbandon, base, k,
-                                    f.st.attempts));
-          close_entry(fit);
-          continue;
-        }
-        const DiskId alt = view_->first_live(placement_, r.data);
-        if (alt == kInvalidDisk) {
-          note_unavailable();
-          ++rel_stats_.abandoned;
-          if (m_abandoned_ != nullptr) ++*m_abandoned_;
-          EAS_OBS(sim_.recorder(),
-                  reliability_event(sim_.now(), obs::Ev::kAbandon, base, k,
-                                    f.st.attempts));
-          close_entry(fit);
-          continue;
-        }
-        note_failover();
-        attempt(base, f, alt);
-        continue;
-      }
-      const DiskId alt = view_->first_live(placement_, r.data);
-      if (alt == kInvalidDisk) {
-        note_unavailable();
-      } else {
-        note_failover();
-        dispatch(r, alt);  // arrival_time kept: failover delay is visible
-      }
+      // Rebuild writes onto the dying disk are dropped. Queued destage
+      // writes die with the disk too; their blocks are still safe in the
+      // buffer and get re-homed by the drain below.
     }
     // Dirty blocks homed on the dead disk are still safe in NVRAM, but
     // their destage target is gone: re-home each onto its first replica
@@ -1175,35 +1061,55 @@ class System final : public core::SystemView {
     // cache never masks a lost block.
     if (wb_ != nullptr) {
       drain_buf_.clear();
-      if (wb_->drain(k, drain_buf_) > 0) {
-        for (const DataId b : drain_buf_) {
-          DiskId new_home = kInvalidDisk;
-          for (const DiskId loc : placement_.locations(b)) {
-            if (loc != k && view_->accepts_io(loc)) {
-              new_home = loc;
-              break;
-            }
-          }
-          if (new_home == kInvalidDisk) {
-            ++cache_stats_.dirty_lost;
-            note_unavailable();
-            continue;
-          }
-          const bool ok = wb_->put(b, new_home, sim_.now());
-          EAS_ENSURE_MSG(ok, "re-homed dirty block " << b
-                                                     << " no longer fits");
-          ++cache_stats_.dirty_redirected;
-          note_failover();
-          const double admit = sim_.now();
-          sim_.schedule_in(config_.cache.destage_deadline_seconds,
-                           [this, b, admit] {
-                             if (wb_ == nullptr || !wb_->is_pending(b)) return;
-                             if (wb_->buffered_at(b) != admit) return;
-                             destage_batch(wb_->home_of(b),
-                                           cache::DestageReason::kDeadline);
-                           });
+      wb_->drain(k, drain_buf_);
+      for (const DataId b : drain_buf_) {
+        const DiskId new_home = first_replica(b, k, Need::kWritable);
+        if (new_home == kInvalidDisk) {
+          ++cache_stats_.dirty_lost;
+          note_unavailable();
+          continue;
         }
+        const bool ok = wb_->put(b, new_home, sim_.now());
+        EAS_ENSURE_MSG(ok, "re-homed dirty block " << b << " no longer fits");
+        ++cache_stats_.dirty_redirected;
+        note_failover();
+        arm_destage_deadline(b);
       }
+    }
+  }
+
+  /// Moves a foreground request (or hedge copy) drained from dead disk `k`
+  /// onto the first live replica, or counts it unavailable when none is
+  /// left. With the reliability tier on, failover shares the attempt
+  /// budget: re-dispatch goes through attempt() so a request bouncing
+  /// between a dying disk and its deadline can never exceed max_attempts or
+  /// double-dispatch.
+  void fail_over(const disk::Request& r, DiskId k) {
+    auto it = inflight_.end();
+    if (config_.reliability.enabled) {
+      it = inflight_.find(r.id);
+      if (it == inflight_.end()) return;  // already closed elsewhere
+      if (r.origin == disk::Origin::kHedge) {
+        // The hedge copy died with the disk; the primary races on alone.
+        it->second.st.hedge_disk = kInvalidDisk;
+        return;
+      }
+      if (it->second.st.attempts >= config_.reliability.max_attempts) {
+        abandon(it, k);
+        return;
+      }
+    }
+    const DiskId alt = view_->first_live(placement_, r.data);
+    if (alt == kInvalidDisk) {
+      note_unavailable();
+      if (it != inflight_.end()) close_entry(it);
+      return;
+    }
+    note_failover();
+    if (it != inflight_.end()) {
+      attempt(r.id, it->second, alt);
+    } else {
+      dispatch(r, alt);  // arrival_time kept: failover delay is visible
     }
   }
 
@@ -1212,14 +1118,11 @@ class System final : public core::SystemView {
   void start_rebuild(DiskId k) {
     EAS_REQUIRE_MSG(view_->health(k) == fault::DiskHealth::kRebuilding,
                     "rebuild target " << k << " is not in rebuilding state");
-    RebuildState st;
-    st.epoch = ++rebuild_epoch_;
+    std::vector<DataId> items;
     for (DataId b = 0; b < placement_.num_data(); ++b) {
-      if (placement_.stores(b, k)) st.items.push_back(b);
+      if (placement_.stores(b, k)) items.push_back(b);
     }
-    view_->set_rebuild_pin(sim_.now(), k, true);
-    rebuilds_[k] = std::move(st);
-    advance_rebuild(k);
+    begin_rebuild(k, std::move(items), /*scrub=*/false);
   }
 
   /// Scrub detected latent sector errors: re-replicate the lost blocks onto
@@ -1227,14 +1130,20 @@ class System final : public core::SystemView {
   void start_scrub(DiskId k, DataId lo, DataId hi) {
     if (!view_->disk_up(k)) return;       // disk died before the scrub ran
     if (rebuilds_.contains(k)) return;    // already repairing this disk
-    RebuildState st;
-    st.epoch = ++rebuild_epoch_;
-    st.scrub = true;
+    std::vector<DataId> items;
     for (DataId b = lo; b <= hi && b != kInvalidData; ++b) {
       if (placement_.stores(b, k) && !view_->replica_readable(b, k)) {
-        st.items.push_back(b);
+        items.push_back(b);
       }
     }
+    begin_rebuild(k, std::move(items), /*scrub=*/true);
+  }
+
+  void begin_rebuild(DiskId k, std::vector<DataId> items, bool scrub) {
+    RebuildState st;
+    st.items = std::move(items);
+    st.epoch = ++rebuild_epoch_;
+    st.scrub = scrub;
     view_->set_rebuild_pin(sim_.now(), k, true);
     rebuilds_[k] = std::move(st);
     advance_rebuild(k);
@@ -1249,24 +1158,19 @@ class System final : public core::SystemView {
     RebuildState& st = it->second;
     while (st.next < st.items.size()) {
       const DataId b = st.items[st.next];
-      DiskId src = kInvalidDisk;
-      for (DiskId s : placement_.locations(b)) {
-        if (s != target && view_->replica_readable(b, s)) {
-          src = s;
-          break;
-        }
-      }
+      const DiskId src = first_replica(b, target, Need::kReadable);
       if (src == kInvalidDisk) {
         ++stats().rebuild_items_lost;
         ++st.next;
         continue;
       }
       disk::Request rr;
-      rr.id = internal_id(target, st.epoch);
+      rr.id = st.epoch;
       rr.data = b;
+      rr.target = target;
       rr.size_bytes = config_.fault.rebuild_bytes_per_item;
       rr.arrival_time = sim_.now();
-      rr.internal = true;
+      rr.origin = disk::Origin::kRebuild;
       st.writing = false;
       EAS_OBS(sim_.recorder(), rebuild_event(sim_.now(), obs::Ev::kRebuildRead,
                                              target, b, src));
@@ -1276,15 +1180,10 @@ class System final : public core::SystemView {
     finish_rebuild(target, st.scrub);
   }
 
-  void on_internal_completion(const disk::Completion& c) {
-    if (is_destage(c.request.id)) {
-      on_destage_complete(c);
-      return;
-    }
-    const DiskId target = internal_target(c.request.id);
+  void on_rebuild_complete(const disk::Completion& c) {
+    const DiskId target = c.request.target;
     auto it = rebuilds_.find(target);
-    if (it == rebuilds_.end() ||
-        it->second.epoch != static_cast<std::uint32_t>(c.request.id)) {
+    if (it == rebuilds_.end() || it->second.epoch != c.request.id) {
       return;  // rebuild was aborted while this transfer was in flight
     }
     RebuildState& st = it->second;
@@ -1364,22 +1263,12 @@ class System final : public core::SystemView {
   std::shared_ptr<obs::TraceRecorder> recorder_;
   std::shared_ptr<obs::MetricRegistry> metrics_;
   std::uint64_t batch_seq_ = 0;
-  /// Cached registry slots (registration returns stable pointers), so hot
-  /// paths never do a name lookup. All null when metrics are off.
-  std::uint64_t* m_completed_ = nullptr;
-  std::uint64_t* m_waited_ = nullptr;
-  std::uint64_t* m_failovers_ = nullptr;
-  std::uint64_t* m_unavailable_ = nullptr;
-  std::uint64_t* m_batches_ = nullptr;
-  stats::SummaryStats* m_batch_size_ = nullptr;
-  stats::SummaryStats* m_queue_depth_ = nullptr;
-  stats::Histogram* m_response_ = nullptr;
-  std::uint64_t* m_cache_hits_ = nullptr;
-  std::uint64_t* m_cache_misses_ = nullptr;
-  std::uint64_t* m_writes_buffered_ = nullptr;
-  std::uint64_t* m_destage_batches_ = nullptr;
-  std::uint64_t* m_destaged_blocks_ = nullptr;
-  stats::SummaryStats* m_dirty_occupancy_ = nullptr;
+  std::size_t arrivals_ = 0;
+  /// Per-event metric summaries, updated only when metrics are on; every
+  /// other metric is copied from the run's counters in finish().
+  stats::SummaryStats batch_size_;
+  stats::SummaryStats queue_depth_;
+  stats::SummaryStats dirty_occupancy_;
 
   /// Reliability tier; retry_ null (and every hook a single branch) when the
   /// config leaves the tier disabled. inflight_ is only ever accessed by
@@ -1394,83 +1283,22 @@ class System final : public core::SystemView {
   /// Queue depth at which schedulers see the disk as backpressured;
   /// 0 disables both the watermark and the bounded queue entirely.
   std::size_t watermark_depth_ = 0;
-  std::uint64_t* m_deadline_misses_ = nullptr;
-  std::uint64_t* m_retries_ = nullptr;
-  std::uint64_t* m_hedges_issued_ = nullptr;
-  std::uint64_t* m_hedge_wins_ = nullptr;
-  std::uint64_t* m_shed_ = nullptr;
-  std::uint64_t* m_abandoned_ = nullptr;
 };
 
-disk::Request make_request(RequestId id, const trace::TraceRecord& rec) {
-  disk::Request r;
-  r.id = id;
-  r.data = rec.data;
-  r.size_bytes = rec.size_bytes;
-  r.is_read = rec.is_read;
-  r.arrival_time = rec.time;
-  r.dispatch_time = rec.time;
-  return r;
-}
+/// run_batch's tick: arrivals accumulate in `pending` and every `interval`
+/// the batch is assigned. The tick re-arms while arrivals remain so an
+/// empty interval cannot strand later requests.
+struct BatchTicker {
+  System& system;
+  core::BatchScheduler& sched;
+  std::size_t total_arrivals;
+  double interval;
+  std::vector<disk::Request> pending;
 
-}  // namespace
-
-RunResult run_online(const SystemConfig& config,
-                     const placement::PlacementMap& placement,
-                     const trace::Trace& trace, core::OnlineScheduler& sched,
-                     power::PowerPolicy& policy) {
-  System system(config, placement, policy);
-  auto& sim = system.simulator();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sim.schedule_at(trace[i].time, [&system, &sched, &trace, i] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      if (system.cache_absorb(r)) return;
-      system.route(r, sched.pick(r, system));
-    });
-  }
-  system.start(trace.end_time());
-  return system.finish(sched.name());
-}
-
-RunResult run_batch(const SystemConfig& config,
-                    const placement::PlacementMap& placement,
-                    const trace::Trace& trace, core::BatchScheduler& sched,
-                    power::PowerPolicy& policy) {
-  System system(config, placement, policy);
-  auto& sim = system.simulator();
-  const double interval = sched.batch_interval_seconds();
-  EAS_REQUIRE(interval > 0.0);
-
-  // Arrivals accumulate in `pending`; a tick chain drains them. The chain
-  // keeps running while arrivals remain so an empty interval cannot strand
-  // later requests.
-  auto pending = std::make_shared<std::vector<disk::Request>>();
-  auto remaining = std::make_shared<std::size_t>(trace.size());
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sim.schedule_at(trace[i].time, [pending, remaining, &system, &trace, i] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      --*remaining;
-      // The cache sits in front of the batch queue: absorbed requests
-      // complete at DRAM latency instead of waiting for the next tick.
-      if (system.cache_absorb(r)) return;
-      pending->push_back(r);
-    });
-  }
-
-  // std::function must be copyable, hence the shared recursive thunk. It
-  // re-arms itself through a weak self-reference: capturing `tick` by value
-  // would make the function own itself and leak the whole chain. The owning
-  // pointer outlives the run (the simulation completes inside system.start()
-  // below), so the lock always succeeds while events can still fire.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [pending, remaining,
-           self = std::weak_ptr<std::function<void()>>(tick), interval,
-           &system, &sched, &sim] {
-    if (!pending->empty()) {
+  void tick() {
+    if (!pending.empty()) {
       std::vector<disk::Request> batch;
-      batch.swap(*pending);
+      batch.swap(pending);
       system.note_batch(batch.size());
       const std::vector<DiskId> assignment = sched.assign(batch, system);
       EAS_ENSURE_MSG(assignment.size() == batch.size(),
@@ -1481,14 +1309,45 @@ RunResult run_batch(const SystemConfig& config,
         system.route(batch[b], assignment[b]);
       }
     }
-    if (*remaining > 0 || !pending->empty()) {
-      const auto t = self.lock();
-      EAS_ASSERT_MSG(t != nullptr, "batch tick outlived its owner");
-      sim.schedule_in(interval, *t);
+    if (system.arrivals() < total_arrivals || !pending.empty()) {
+      system.simulator().schedule_in(interval, [this] { tick(); });
     }
-  };
-  if (!trace.empty()) sim.schedule_at(trace.start_time() + interval, *tick);
+  }
+};
 
+}  // namespace
+
+RunResult run_online(const SystemConfig& config,
+                     const placement::PlacementMap& placement,
+                     const trace::Trace& trace, core::OnlineScheduler& sched,
+                     power::PowerPolicy& policy) {
+  System system(config, placement, policy);
+  auto on_arrival = [&](const disk::Request& r) {
+    system.route(r, sched.pick(r, system));
+  };
+  system.schedule_arrivals(trace, on_arrival);
+  system.start(trace.end_time());
+  return system.finish(sched.name());
+}
+
+RunResult run_batch(const SystemConfig& config,
+                    const placement::PlacementMap& placement,
+                    const trace::Trace& trace, core::BatchScheduler& sched,
+                    power::PowerPolicy& policy) {
+  System system(config, placement, policy);
+  const double interval = sched.batch_interval_seconds();
+  EAS_REQUIRE(interval > 0.0);
+  // The cache sits in front of the batch queue: absorbed requests complete
+  // at DRAM latency instead of waiting for the next tick.
+  BatchTicker ticker{system, sched, trace.size(), interval, {}};
+  auto on_arrival = [&ticker](const disk::Request& r) {
+    ticker.pending.push_back(r);
+  };
+  system.schedule_arrivals(trace, on_arrival);
+  if (!trace.empty()) {
+    system.simulator().schedule_at(trace.start_time() + interval,
+                                   [&ticker] { ticker.tick(); });
+  }
   system.start(trace.end_time());
   return system.finish(sched.name());
 }
@@ -1502,16 +1361,10 @@ RunResult run_offline(const SystemConfig& config,
   power::OraclePolicy policy(
       assignment.arrivals_by_disk(trace, placement.num_disks()));
   System system(config, placement, policy);
-  auto& sim = system.simulator();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const DiskId k = assignment.disk_of_request[i];
-    sim.schedule_at(trace[i].time, [&system, &trace, i, k] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      if (system.cache_absorb(r)) return;
-      system.route(r, k);
-    });
-  }
+  auto on_arrival = [&](const disk::Request& r) {
+    system.route(r, assignment.disk_of_request[r.id]);
+  };
+  system.schedule_arrivals(trace, on_arrival);
   system.start(trace.end_time());
   return system.finish(scheduler_name);
 }
@@ -1547,25 +1400,21 @@ RunResult run_online_mixed(const SystemConfig& config,
   EAS_REQUIRE_MSG(!config.reliability.enabled,
                   "write-offload runs do not support the reliability tier");
   System system(config, placement, policy);
-  auto& sim = system.simulator();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    sim.schedule_at(trace[i].time, [&system, &sched, &offloader, &trace, i] {
-      const disk::Request r = make_request(i, trace[i]);
-      system.note_arrival(r);
-      if (!trace[i].is_read) {
-        system.dispatch_unchecked(r, offloader.route_write(r, system));
-        return;
-      }
-      // A freshly written block may live away from placement until
-      // reclaimed; such reads bypass the scheduler (there is exactly one
-      // valid location).
-      if (const auto diverted = offloader.read_override(r.data, system)) {
-        system.dispatch_unchecked(r, *diverted);
-        return;
-      }
-      system.dispatch(r, sched.pick(r, system));
-    });
-  }
+  auto on_arrival = [&](const disk::Request& r) {
+    if (!r.is_read) {
+      system.dispatch_unchecked(r, offloader.route_write(r, system));
+      return;
+    }
+    // A freshly written block may live away from placement until
+    // reclaimed; such reads bypass the scheduler (there is exactly one
+    // valid location).
+    if (const auto diverted = offloader.read_override(r.data, system)) {
+      system.dispatch_unchecked(r, *diverted);
+      return;
+    }
+    system.dispatch(r, sched.pick(r, system));
+  };
+  system.schedule_arrivals(trace, on_arrival);
   system.start(trace.end_time());
   RunResult result = system.finish(sched.name() + "+write-offload");
   result.write_offload_enabled = true;

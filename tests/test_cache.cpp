@@ -36,6 +36,13 @@ void* operator new(std::size_t n) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
+// std::stable_sort's temporary buffer uses the nothrow form; left to the
+// runtime's version, its block would reach the free() below (ASan reports
+// an alloc-dealloc mismatch).
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n ? n : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }

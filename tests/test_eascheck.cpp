@@ -248,8 +248,8 @@ TEST(Eascheck, RepositoryTreeIsClean) {
 }
 
 TEST(Eascheck, RepositoryDeterminismModeMatchesWrapperContract) {
-  // tools/lint_determinism.sh shells out to exactly this invocation and
-  // forwards the exit code; it must be green on the tree.
+  // The determinism-lint CI job and the ci.sh determinism stage run exactly
+  // this invocation and gate on its exit code; it must be green on the tree.
   const RunResult r = run_eascheck(std::string("--root ") + EAS_REPO_ROOT +
                                    " --rules determinism");
   EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -19,7 +19,10 @@
 #include "obs/trace_recorder.hpp"
 #include "paper_example.hpp"
 #include "power/fixed_threshold.hpp"
+#include "runner/experiment.hpp"
+#include "runner/registry.hpp"
 #include "storage/storage_system.hpp"
+#include "trace/synthetic.hpp"
 #include "util/check.hpp"
 
 namespace eas {
@@ -382,6 +385,72 @@ TEST(PaperExampleTrace, MetricsMatchRunResultAggregates) {
   // Fault machinery never engaged in this run.
   EXPECT_EQ(m.find("failovers")->counter, 0u);
   EXPECT_EQ(m.find("unavailable_requests")->counter, 0u);
+}
+
+// The registry is filled from the run's own counters at finish(), so every
+// tier counter must project its RunResult field exactly. One batch (WSC) run
+// with the cache, a fail-stop disk and the reliability tier all engaged.
+TEST(TieredRunMetrics, EveryTierCounterProjectsItsRunResultField) {
+  trace::SyntheticTraceConfig tc = trace::cello_like_config(1);
+  tc.num_requests = 4000;
+  tc.write_fraction = 0.3;
+  tc.mean_rate = 600.0;  // enough load to back queues up past the deadline
+  const trace::Trace trace = trace::make_synthetic_trace(tc);
+  cache::CacheConfig cc;
+  cc.capacity_blocks = 128;
+  cc.dirty_capacity_blocks = 32;
+  reliability::ReliabilityConfig rc;
+  rc.deadline_seconds = 0.04;  // shorter than a full bounded queue
+  rc.hedge_delay_seconds = 0.015;
+  rc.max_queue_depth = 8;
+  const auto p = runner::ExperimentBuilder(runner::Workload::kCello)
+                     .requests(trace.size())
+                     .disks(12)
+                     .replication(2)
+                     .initial_state(disk::DiskState::Idle)
+                     .cache(cc)
+                     .fail_disk_at(3, 0.2 * trace.duration())
+                     .reliability(rc)
+                     .metrics()
+                     .build();
+  const auto placement = runner::make_shared_placement(p);
+  const auto r = runner::run_cell(runner::SchedulerRegistry::global(), "wsc",
+                                  p, trace, *placement);
+  ASSERT_NE(r.metrics, nullptr);
+  const obs::MetricRegistry& m = *r.metrics;
+  const auto counter = [&m](const char* name) {
+    const obs::Metric* e = m.find(name);
+    EXPECT_NE(e, nullptr) << name;
+    return e != nullptr ? e->counter : ~std::uint64_t{0};
+  };
+  const cache::CacheStats& cs = r.cache_stats;
+  EXPECT_EQ(counter("cache_hits"), cs.hits_clean + cs.hits_dirty);
+  EXPECT_EQ(counter("cache_misses"), cs.misses);
+  EXPECT_EQ(counter("cache_writes_buffered"), cs.writes_buffered);
+  EXPECT_EQ(counter("destage_batches"), cs.destage_batches);
+  EXPECT_EQ(counter("destaged_blocks"), cs.destaged_blocks);
+  EXPECT_EQ(counter("failovers"), r.fault_stats.failovers);
+  EXPECT_EQ(counter("unavailable_requests"),
+            r.fault_stats.unavailable_requests);
+  const reliability::ReliabilityStats& rs = r.reliability_stats;
+  EXPECT_EQ(counter("deadline_misses"), rs.deadline_misses);
+  EXPECT_EQ(counter("retries"), rs.retries);
+  EXPECT_EQ(counter("hedges_issued"), rs.hedges_issued);
+  EXPECT_EQ(counter("hedge_wins"), rs.hedge_wins);
+  EXPECT_EQ(counter("shed_requests"), rs.shed);
+  EXPECT_EQ(counter("abandoned_requests"), rs.abandoned);
+  EXPECT_EQ(counter("requests_completed"), r.total_requests);
+  // Every batch adds one batch_size sample.
+  EXPECT_EQ(counter("batches_formed"), m.find("batch_size")->summary.count());
+  EXPECT_EQ(m.find("response_seconds")->histogram.total_count(),
+            r.response_times.count());
+  // The run must actually exercise each tier for the check to mean much.
+  for (const std::uint64_t engaged :
+       {cs.hits_clean + cs.hits_dirty, cs.destaged_blocks,
+        r.fault_stats.failovers, rs.deadline_misses, rs.hedges_issued,
+        rs.shed}) {
+    EXPECT_GT(engaged, 0u) << r.to_json();
+  }
 }
 
 // Observability must be a pure observer: switching it on cannot perturb the

@@ -424,6 +424,43 @@ TEST(TransientFault, ReliabilityRetriesShareTheAttemptBudgetWithFailover) {
   EXPECT_EQ(r.to_json(true), again.to_json(true));
 }
 
+TEST(TransientFault, LastReplicaLossCountsEachRequestOnceWithOrWithoutTier) {
+  // b1 lives only on disk 0. 60 reads of it queue there just before the
+  // outage at t=2: the one in service completes, the 59 drained have no
+  // live replica left. One more read at t=8 extends the run past recovery.
+  // The retry variant pulls most reads back on a deadline first, so their
+  // backoff ends during the outage with nowhere to go. Every request is
+  // counted exactly once — served, shed, abandoned or unavailable — and
+  // losing the last replica counts it unavailable, as with the tier off.
+  std::vector<trace::TraceRecord> recs(60);
+  for (trace::TraceRecord& rec : recs) {
+    rec.time = 1.999;
+    rec.data = 0;
+  }
+  recs.emplace_back().time = 8.0;
+  recs.back().data = 0;
+  const trace::Trace trace(std::move(recs));
+  storage::SystemConfig off = transient_config();
+  storage::SystemConfig on = off;
+  on.reliability.enabled = true;
+  storage::SystemConfig retry = on;
+  retry.reliability.deadline_seconds = 0.0005;
+  retry.reliability.backoff_base_seconds = 0.5;
+  for (const storage::SystemConfig& cfg : {off, on, retry}) {
+    const auto r = run_static(cfg, trace);
+    const auto& rs = r.reliability_stats;
+    EXPECT_EQ(r.total_requests + rs.shed + rs.abandoned +
+                  r.fault_stats.unavailable_requests,
+              trace.size())
+        << r.to_json();
+    EXPECT_GT(r.fault_stats.unavailable_requests, 0u) << r.to_json();
+  }
+  const auto r = run_static(on, trace);
+  EXPECT_EQ(r.total_requests, 2u);
+  EXPECT_EQ(r.fault_stats.unavailable_requests, 59u);
+  EXPECT_EQ(r.reliability_stats.abandoned, 0u);
+}
+
 TEST(ReliabilityRun, SurvivesAFixedThresholdPolicyWithHedging) {
   // Hedge pins must hold the planned alternate spinning (and re-kick the
   // policy when released) — the run completes without stranding a disk.
