@@ -1,14 +1,17 @@
 // Micro-benchmarks: combinatorial kernels (set cover, GWMIN, conflict-graph
-// construction, Zipf sampling).
+// construction, offline refinement, Zipf sampling).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <utility>
 
 #include "core/conflict_graph.hpp"
+#include "core/mwis_scheduler.hpp"
+#include "core/refine.hpp"
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
+#include "runner/experiment.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
@@ -150,6 +153,34 @@ void BM_SolveGwminConflict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolveGwminConflict)->Arg(2000)->Arg(10000);
+
+/// Local-search refinement of the densest-pile seed on a fixed 20k-request
+/// Cello-like trace over the paper's 180-disk Zipf placement, at the
+/// replication factor given as the argument. One iteration refines a fresh
+/// copy of the seed for the paper cells' pass budget.
+void BM_RefineOffline(benchmark::State& state) {
+  runner::ExperimentParams p;
+  p.num_requests = 20000;
+  p.replication_factor = static_cast<unsigned>(state.range(0));
+  const auto t = runner::make_workload(p.workload, p.trace_seed,
+                                       p.num_requests);
+  const auto placement = runner::make_placement(p);
+  const auto power = runner::system_config_for(p).power;
+  core::MwisOptions o;
+  o.seed = core::MwisOptions::Seed::kPileOnly;
+  o.refine_passes = 0;
+  const core::OfflineAssignment seed =
+      core::MwisOfflineScheduler(o).schedule(t, placement, power);
+  for (auto _ : state) {
+    core::OfflineAssignment a = seed;
+    benchmark::DoNotOptimize(core::refine_offline_assignment(
+        a, t, placement, power, p.mwis_refine_passes));
+    benchmark::DoNotOptimize(a.disk_of_request.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(t.size()));
+}
+BENCHMARK(BM_RefineOffline)->Arg(2)->Arg(5);
 
 void BM_ZipfSample(benchmark::State& state) {
   util::ZipfSampler zipf(static_cast<std::size_t>(state.range(0)), 0.9);

@@ -10,8 +10,10 @@
 // energy equals the sum of per-request consumptions plus standby floor —
 // each used disk's initial spin-up is exactly offset by the final request's
 // ceiling charge — so moving one request only perturbs the consumptions of
-// its old/new disk neighbours, which is O(replication factor · log n) to
-// evaluate.
+// its old/new disk neighbours. Each disk's candidate requests sit in a
+// static trace-order array with an occupancy bitset, so finding those
+// neighbours is a word scan and evaluating a request costs
+// O(replication factor · occupancy words scanned).
 #pragma once
 
 #include "core/scheduler.hpp"

@@ -4,10 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <tuple>
 
@@ -122,47 +122,27 @@ std::map<const void*, std::uint64_t> input_fingerprints(
   return fp;
 }
 
-/// Bounded per-worker queues with stealing: each worker drains its own
-/// queue from the front and, when empty, steals from the back of the
-/// busiest sibling. All cells are known up front, so the queues never grow.
-class WorkQueues {
- public:
-  WorkQueues(std::size_t num_workers, std::size_t num_cells)
-      : queues_(num_workers), mutexes_(num_workers) {
-    // Round-robin initial distribution keeps neighbouring (similar-cost)
-    // cells on different workers.
-    for (std::size_t i = 0; i < num_cells; ++i) {
-      queues_[i % num_workers].push_back(i);
+/// Dispatch order: offline cells first, by replication factor descending
+/// (the MWIS pipeline's conflict graph grows with the replica count), then
+/// every other cell in submission order. Starting the longest cells first
+/// keeps one late straggler from setting the sweep's wall time. Cells whose
+/// name is not in the registry count as online.
+std::vector<std::size_t> longest_first(const std::vector<CellSpec>& cells,
+                                       const SchedulerRegistry& registry) {
+  std::vector<unsigned> cost(cells.size(), 0);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const SchedulerSpec* spec = registry.find(cells[i].scheduler);
+    if (spec != nullptr && spec->model == ExecutionModel::kOffline) {
+      cost[i] = cells[i].params.replication_factor;
     }
   }
-
-  /// Next cell for `worker`, stealing when its own queue is empty.
-  /// Returns false when no work remains anywhere.
-  bool next(std::size_t worker, std::size_t& out) {
-    {
-      std::lock_guard lock(mutexes_[worker]);
-      if (!queues_[worker].empty()) {
-        out = queues_[worker].front();
-        queues_[worker].pop_front();
-        return true;
-      }
-    }
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-      const std::size_t victim = (worker + i) % queues_.size();
-      std::lock_guard lock(mutexes_[victim]);
-      if (!queues_[victim].empty()) {
-        out = queues_[victim].back();
-        queues_[victim].pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::deque<std::size_t>> queues_;
-  std::vector<std::mutex> mutexes_;
-};
+  std::vector<std::size_t> order(cells.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&cost](std::size_t a, std::size_t b) { return cost[a] > cost[b]; });
+  return order;
+}
 
 }  // namespace
 
@@ -200,15 +180,18 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
 
   const std::size_t num_workers = std::max<std::size_t>(
       1, std::min(threads_, cells.size()));
-  WorkQueues queues(num_workers, cells.size());
+  const std::vector<std::size_t> order = longest_first(cells, registry_);
+  std::atomic<std::size_t> cursor{0};
   std::atomic<bool> cancelled{false};
   std::mutex failure_mutex;
   std::exception_ptr first_failure;
 
-  auto worker = [&](std::size_t id) {
-    std::size_t i = 0;
-    while (queues.next(id, i)) {
-      if (cancelled.load(std::memory_order_acquire)) continue;  // drain
+  auto worker = [&] {
+    for (std::size_t n = cursor.fetch_add(1, std::memory_order_relaxed);
+         n < order.size(); n = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      // After a failure, this cell and every unclaimed one stay kSkipped.
+      if (cancelled.load(std::memory_order_acquire)) break;
+      const std::size_t i = order[n];
       CellResult& out = results[i];
       const CellSpec& cell = cells[i];
       const auto cell_start = std::chrono::steady_clock::now();
@@ -249,13 +232,11 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
   };
 
   if (num_workers == 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(num_workers);
-    for (std::size_t t = 0; t < num_workers; ++t) {
-      pool.emplace_back(worker, t);
-    }
+    for (std::size_t t = 0; t < num_workers; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
 

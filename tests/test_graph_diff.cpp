@@ -30,6 +30,7 @@
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
 #include "placement/placement.hpp"
+#include "reference/solver_reference.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
 

@@ -67,7 +67,7 @@ TEST(SweepRunnerParallel, BitIdenticalAcrossThreadCounts) {
                                                "wsc", "mwis"};
   const auto grid = [&] {
     return runner::product_grid(
-        base, schedulers, {"1", "3"},
+        base, schedulers, {"1", "2", "3"},
         [](const runner::ExperimentParams& b, const std::string& tag) {
           return runner::ExperimentBuilder(b)
               .replication(static_cast<unsigned>(std::stoul(tag)))
@@ -102,6 +102,56 @@ TEST(SweepRunnerParallel, BitIdenticalAcrossThreadCounts) {
                            results[i].spec.tag + " @" +
                            std::to_string(threads) + " threads");
     }
+  }
+}
+
+// --- dispatch order --------------------------------------------------------
+
+// Longest-first dispatch: offline (MWIS) cells start first, by replication
+// factor descending, ties in submission order; every other cell — including
+// names the registry does not know — follows in submission order. Results
+// still come back in submission order.
+TEST(SweepRunnerDispatch, OfflineCellsStartFirstByReplicationDescending) {
+  struct Submitted {
+    const char* scheduler;
+    unsigned rf;
+  };
+  const std::vector<Submitted> grid = {
+      {"random", 5}, {"mwis", 2},      {"static", 1},    {"mwis", 5},
+      {"custom", 5}, {"mwis", 1},      {"heuristic", 3}, {"mwis", 2},
+      {"wsc", 4},    {"always-on", 2}, {"mwis", 4}};
+  std::vector<std::size_t> started;
+  std::vector<runner::CellSpec> cells;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    runner::CellSpec cell;
+    cell.scheduler = grid[i].scheduler;
+    cell.params = runner::ExperimentBuilder(runner::Workload::kCello)
+                      .requests(10)
+                      .disks(8)
+                      .replication(grid[i].rf)
+                      .build();
+    cell.tag = std::to_string(i);
+    cell.run = [&started, i](const runner::ExperimentParams& cp,
+                             const trace::Trace&,
+                             const placement::PlacementMap&) {
+      started.push_back(i);
+      storage::RunResult r;
+      r.total_requests = cp.num_requests;
+      return r;
+    };
+    cells.push_back(std::move(cell));
+  }
+
+  runner::SweepOptions opts;
+  opts.threads = 1;
+  const auto results = runner::SweepRunner(opts).run(cells);
+  EXPECT_EQ(started,
+            (std::vector<std::size_t>{3, 10, 1, 7, 5, 0, 2, 4, 6, 8, 9}));
+  ASSERT_EQ(results.size(), grid.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].index, i);
+    EXPECT_EQ(results[i].spec.tag, std::to_string(i));
+    EXPECT_EQ(results[i].status, runner::CellStatus::kOk);
   }
 }
 
