@@ -70,7 +70,8 @@ class MetricRegistry {
   void merge(const MetricRegistry& other);
 
   /// Stable JSON object: {"name":{"kind":...,...},...} in registration
-  /// order. Used for determinism fingerprints and by the metrics sink.
+  /// order. Used for determinism fingerprints and to print a sweep's merged
+  /// metrics line.
   std::string to_json() const;
 
  private:

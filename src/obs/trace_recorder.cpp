@@ -1,8 +1,6 @@
 #include "obs/trace_recorder.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -359,57 +357,6 @@ void TraceRecorder::export_chrome_json(std::ostream& os,
   w.end_array();
   w.end_object();
   os << "\n";
-}
-
-namespace {
-
-struct BinaryHeader {
-  char magic[8];
-  std::uint32_t version;
-  std::uint32_t event_size;
-  std::uint64_t count;
-  std::uint64_t dropped;
-};
-static_assert(sizeof(BinaryHeader) == 32, "header is one event-sized block");
-
-constexpr char kMagic[8] = {'E', 'A', 'S', 'T', 'R', 'C', '0', '1'};
-
-}  // namespace
-
-void TraceRecorder::write_binary(std::ostream& os) const {
-  BinaryHeader h{};
-  std::memcpy(h.magic, kMagic, sizeof(kMagic));
-  h.version = 1;
-  h.event_size = sizeof(TraceEvent);
-  h.count = size();
-  h.dropped = dropped();
-  os.write(reinterpret_cast<const char*>(&h), sizeof(h));
-  // The ring may wrap; write in chronological order so readers never need
-  // to know the ring geometry.
-  for (std::size_t i = 0; i < size(); ++i) {
-    const TraceEvent& e = event(i);
-    os.write(reinterpret_cast<const char*>(&e), sizeof(e));
-  }
-}
-
-std::vector<TraceEvent> TraceRecorder::read_binary(std::istream& is) {
-  BinaryHeader h{};
-  is.read(reinterpret_cast<char*>(&h), sizeof(h));
-  EAS_REQUIRE_MSG(is.good() && std::memcmp(h.magic, kMagic, sizeof(kMagic)) == 0,
-                  "not an easched binary trace");
-  EAS_REQUIRE_MSG(h.version == 1, "unknown trace version " << h.version);
-  EAS_REQUIRE_MSG(h.event_size == sizeof(TraceEvent),
-                  "trace event size mismatch: " << h.event_size);
-  std::vector<TraceEvent> events(static_cast<std::size_t>(h.count));
-  if (h.count > 0) {
-    is.read(reinterpret_cast<char*>(events.data()),
-            static_cast<std::streamsize>(h.count * sizeof(TraceEvent)));
-    EAS_REQUIRE_MSG(
-        is.gcount() ==
-            static_cast<std::streamsize>(h.count * sizeof(TraceEvent)),
-        "truncated binary trace");
-  }
-  return events;
 }
 
 }  // namespace eas::obs

@@ -8,12 +8,10 @@
 // design) and never reads a wall clock: timestamps are the simulated clock,
 // passed in by the caller, so a trace is as reproducible as the run itself.
 //
-// Two export forms:
-//   * Chrome trace-event JSON (export_chrome_json) — load the file in
-//     Perfetto / chrome://tracing to see per-disk power-state timelines,
-//     request service spans and batch/rebuild/fault instants;
-//   * a compact binary image (write_binary/read_binary) for archival and
-//     programmatic diffing at 32 bytes/event.
+// Export form: Chrome trace-event JSON (export_chrome_json) — load the file
+// in Perfetto / chrome://tracing to see per-disk power-state timelines,
+// request service spans and batch/rebuild/fault instants. Programmatic
+// consumers read the ring directly through event(i).
 //
 // Instrumentation sites use the EAS_OBS macro so the whole surface can be
 // compiled out with -DEASCHED_NO_OBS=ON; compiled in but disabled it costs
@@ -22,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -36,7 +33,7 @@ namespace eas::obs {
 // ---------------------------------------------------------------------------
 // Vocabulary. Categories select what gets recorded (TraceConfig::categories
 // is a bitmask of them); events say what happened. Both are schema-stable:
-// the binary format stores the raw values.
+// the Chrome export names them and TraceEvent stores the raw values.
 
 enum class Cat : std::uint8_t {
   kRequest = 0,  ///< foreground request lifecycle
@@ -101,7 +98,7 @@ const char* power_state_name(std::uint32_t s);
 // Storage.
 
 /// One recorded event. Fixed 32-byte POD so a ring entry write is two cache
-/// lines at worst and the binary image is just the raw array.
+/// lines at worst.
 struct TraceEvent {
   double time = 0.0;       ///< simulated seconds
   std::uint64_t id = 0;    ///< primary subject (request id, disk id, seq)
@@ -111,7 +108,8 @@ struct TraceEvent {
   Ev ev = Ev::kArrive;
   Cat cat = Cat::kRequest;
 };
-static_assert(sizeof(TraceEvent) == 32, "binary trace format is 32 B/event");
+static_assert(sizeof(TraceEvent) == 32,
+              "TraceConfig::capacity promises 32 B of ring per event");
 
 struct TraceConfig {
   bool enabled = false;
@@ -209,17 +207,12 @@ class TraceRecorder {
   void export_chrome_json(std::ostream& os, double horizon = 0.0) const;
 
   /// Appends this recorder's events to an already-open JSON array, tagging
-  /// every event with `pid` and naming the process `process_name` — lets a
-  /// sink merge many cells into one Perfetto-loadable trace side by side.
+  /// every event with `pid` and naming the process `process_name` — lets
+  /// runner::write_chrome_trace merge many cells into one Perfetto-loadable
+  /// trace side by side.
   void append_chrome_events(util::JsonWriter& w, int pid,
                             const std::string& process_name,
                             double horizon = 0.0) const;
-
-  /// Compact binary image: 32-byte header + size() raw TraceEvents in
-  /// chronological order. read_binary round-trips it (throws
-  /// InvariantError on a foreign or truncated stream).
-  void write_binary(std::ostream& os) const;
-  static std::vector<TraceEvent> read_binary(std::istream& is);
 
  private:
   TraceConfig config_;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
+#include "obs/trace_recorder.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -11,9 +13,13 @@
 namespace eas::runner {
 
 EmitFormat emit_format_from_env(EmitFormat fallback) {
-  SinkConfig cfg;
-  cfg.format = fallback;
-  return SinkConfig::from_env(cfg).format;
+  const char* env = std::getenv("EAS_EMIT");
+  if (env == nullptr) return fallback;
+  const std::string_view v(env);
+  if (v == "table") return EmitFormat::kTable;
+  if (v == "csv") return EmitFormat::kCsv;
+  if (v == "json") return EmitFormat::kJson;
+  return fallback;
 }
 
 ResultTable::ResultTable(std::string title, std::vector<std::string> columns)
@@ -207,15 +213,25 @@ const char* to_string(CellStatus s) {
 /// Fault-free twin of `r`: the first OK cell with the same scheduler whose
 /// params match r's with the fault profile cleared. Availability sweeps run
 /// both variants side by side, so the twin usually exists; nullptr when the
-/// sweep only ran the degraded cells.
+/// sweep only ran the degraded cells. describe() omits the seeds, the
+/// initial disk state and the MWIS knobs, so those are compared field by
+/// field: a sweep over several trace seeds pairs each degraded cell with
+/// its own seed's clean run.
 const CellResult* fault_free_twin(const std::vector<CellResult>& results,
                                   const CellResult& r) {
-  ExperimentParams stripped = r.spec.params;
+  const ExperimentParams& p = r.spec.params;
+  ExperimentParams stripped = p;
   stripped.fault = {};
   const std::string wanted = describe(stripped);
   for (const auto& c : results) {
     if (c.status != CellStatus::kOk || c.result.faults_enabled) continue;
-    if (c.spec.scheduler == r.spec.scheduler && describe(c.spec.params) == wanted) {
+    const ExperimentParams& q = c.spec.params;
+    if (c.spec.scheduler == r.spec.scheduler &&
+        q.trace_seed == p.trace_seed && q.placement_seed == p.placement_seed &&
+        q.initial_state == p.initial_state &&
+        q.mwis_horizon == p.mwis_horizon &&
+        q.mwis_refine_passes == p.mwis_refine_passes &&
+        describe(q) == wanted) {
       return &c;
     }
   }
@@ -342,6 +358,35 @@ void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
     }
   }
   t.emit(os, format);
+}
+
+obs::MetricRegistry merged_metrics(const std::vector<CellResult>& results) {
+  obs::MetricRegistry merged;
+  for (const CellResult& r : results) {
+    if (r.status != CellStatus::kOk || r.result.metrics == nullptr) continue;
+    merged.merge(*r.result.metrics);
+  }
+  return merged;
+}
+
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<CellResult>& results) {
+  util::JsonWriter w(os);
+  w.begin_object();
+  w.field("displayTimeUnit", "ms");
+  w.key("traceEvents");
+  w.begin_array();
+  for (const CellResult& r : results) {
+    if (r.status != CellStatus::kOk || r.result.trace_recorder == nullptr) {
+      continue;
+    }
+    r.result.trace_recorder->append_chrome_events(
+        w, static_cast<int>(r.index), r.spec.tag + "/" + r.spec.scheduler,
+        r.result.horizon);
+  }
+  w.end_array();
+  w.end_object();
+  os << "\n";
 }
 
 }  // namespace eas::runner

@@ -1,11 +1,13 @@
-// Structured result sinks for the experiment harnesses.
+// Result export for the experiment harnesses: the one output path.
 //
 // Every bench builds the series its figure plots into a ResultTable and
 // emits it in one of three stable formats: the aligned text table the
 // paper-comparison docs quote (default), CSV for spreadsheet/plotting
-// pipelines, or JSON for programmatic consumers. The CSV/JSON schemas are
-// covered by golden tests — changing them is a breaking change for
-// downstream plotting scripts.
+// pipelines, or JSON for programmatic consumers. Sweeps additionally dump
+// their raw cells (emit_cells) and, when the cells ran with observability
+// on, a merged metrics registry (merged_metrics) and one Chrome trace
+// (write_chrome_trace). The CSV/JSON schemas are covered by golden tests —
+// changing them is a breaking change for downstream plotting scripts.
 #pragma once
 
 #include <cstdint>
@@ -13,15 +15,16 @@
 #include <string>
 #include <vector>
 
-#include "runner/sink_config.hpp"
+#include "obs/metrics.hpp"
 #include "runner/sweep.hpp"
 
 namespace eas::runner {
 
-/// Compatibility wrapper over SinkConfig::from_env for harnesses that only
-/// need the format: EAS_EMIT=table|csv|json (defaults to `fallback`;
-/// unknown values fall back too so a typo cannot silently hide a figure).
-/// New code should build an OutputSink (runner/sinks.hpp) instead.
+/// The three table renderings.
+enum class EmitFormat { kTable, kCsv, kJson };
+
+/// EAS_EMIT=table|csv|json (defaults to `fallback`; unknown values fall back
+/// too so a typo cannot silently hide a figure). The only reader of EAS_EMIT.
 EmitFormat emit_format_from_env(EmitFormat fallback = EmitFormat::kTable);
 
 /// A titled grid of cells that renders as an aligned table, CSV or JSON.
@@ -80,5 +83,16 @@ class ResultTable {
 /// RunResult::to_json(); the CSV/table forms emit the headline metrics.
 void emit_cells(std::ostream& os, const std::vector<CellResult>& results,
                 EmitFormat format);
+
+/// All OK cells' registries folded in cell-index order, so the merged JSON
+/// is bit-identical at any EAS_THREADS. Cells without metrics contribute
+/// nothing; an all-off sweep yields an empty registry.
+obs::MetricRegistry merged_metrics(const std::vector<CellResult>& results);
+
+/// One Perfetto-loadable Chrome trace-event document merging every OK
+/// cell's TraceRecorder, one "process" per cell (pid = cell index, named
+/// "<tag>/<scheduler>"). Cells that recorded nothing are skipped.
+void write_chrome_trace(std::ostream& os,
+                        const std::vector<CellResult>& results);
 
 }  // namespace eas::runner

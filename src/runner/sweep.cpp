@@ -219,9 +219,7 @@ std::vector<CellResult> SweepRunner::run(std::vector<CellSpec> cells) {
           std::lock_guard lock(failure_mutex);
           if (!first_failure) first_failure = std::current_exception();
         }
-        if (opts_.cancel_on_failure) {
-          cancelled.store(true, std::memory_order_release);
-        }
+        cancelled.store(true, std::memory_order_release);
       }
       out.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -67,8 +67,6 @@ struct CellResult {
 struct SweepOptions {
   /// Worker threads; 0 → threads_from_env() (EAS_THREADS or hardware).
   std::size_t threads = 0;
-  /// Stop launching new cells once any cell fails.
-  bool cancel_on_failure = true;
   /// Rethrow the first failure from run() after all workers joined. When
   /// false, failures are only reported through CellResult::status.
   bool rethrow_failure = true;

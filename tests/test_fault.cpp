@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -463,6 +464,53 @@ TEST(DegradedSweep, AvailabilityColumnsAppearOnlyWithFaults) {
   EXPECT_NE(csv.str().find("unavailable"), std::string::npos);
   EXPECT_NE(csv.str().find("rebuild_bytes"), std::string::npos);
   EXPECT_NE(csv.str().find("energy_delta_j"), std::string::npos);
+}
+
+// describe() omits the trace seed, so the fault-free twin must be matched
+// on the seed too: in a seeds x {clean, fail-stop} sweep, every degraded
+// cell's delta is against its own seed's clean run.
+TEST(DegradedSweep, EnergyDeltaComparesAgainstTheSameSeed) {
+  std::vector<runner::CellSpec> cells;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const auto clean = runner::ExperimentBuilder(runner::Workload::kCello)
+                           .trace_seed(seed)
+                           .requests(600)
+                           .disks(12)
+                           .build();
+    const auto faulty =
+        runner::ExperimentBuilder(clean).fail_disk_at(2, 0.5).build();
+    for (const auto* p : {&clean, &faulty}) {
+      runner::CellSpec c;
+      c.scheduler = "static";
+      c.params = *p;
+      c.tag = std::to_string(seed);
+      cells.push_back(std::move(c));
+    }
+  }
+  runner::SweepOptions opts;
+  opts.threads = 1;
+  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  ASSERT_EQ(results.size(), 4u);
+  std::ostringstream os;
+  runner::emit_cells(os, results, runner::EmitFormat::kJson);
+  const std::string json = os.str();
+  // The two seeds' clean runs differ, so a twin from the wrong seed cannot
+  // produce the expected delta.
+  ASSERT_NE(results[0].result.total_energy(),
+            results[2].result.total_energy());
+  const std::string key = "\"energy_delta_vs_fault_free_j\":";
+  for (const std::size_t faulty : {1u, 3u}) {
+    SCOPED_TRACE("cell " + std::to_string(faulty));
+    const double expected = results[faulty].result.total_energy() -
+                            results[faulty - 1].result.total_energy();
+    const auto record =
+        json.find("{\"index\":" + std::to_string(faulty) + ",");
+    ASSERT_NE(record, std::string::npos);
+    const auto at = json.find(key, record);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_LT(at, json.find("\"result\":", record));
+    EXPECT_EQ(std::strtod(json.c_str() + at + key.size(), nullptr), expected);
+  }
 }
 
 }  // namespace

@@ -129,50 +129,6 @@ TEST(TraceRing, EventIsThirtyTwoBytes) {
   EXPECT_EQ(sizeof(obs::TraceEvent), 32u);
 }
 
-// --- binary image -----------------------------------------------------------
-
-TEST(TraceBinary, RoundTripsThroughAStream) {
-  obs::TraceRecorder rec({.enabled = true, .capacity = 4});
-  for (int i = 0; i < 6; ++i) {  // wraps: events 2..5 survive
-    rec.record(0.25 * i, obs::Ev::kQueue, static_cast<std::uint64_t>(i),
-               100 + i, 7, 3);
-  }
-  std::stringstream ss;
-  rec.write_binary(ss);
-  const auto events = obs::TraceRecorder::read_binary(ss);
-  ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&events[i], &rec.event(i), sizeof(obs::TraceEvent)),
-              0)
-        << "event " << i;
-  }
-}
-
-TEST(TraceBinary, EmptyRecorderRoundTrips) {
-  obs::TraceRecorder rec({.enabled = true, .capacity = 4});
-  std::stringstream ss;
-  rec.write_binary(ss);
-  EXPECT_TRUE(obs::TraceRecorder::read_binary(ss).empty());
-}
-
-TEST(TraceBinary, RejectsForeignAndTruncatedStreams) {
-  {
-    std::stringstream ss;
-    ss << "this is not a trace, it is a sentence about traces.....";
-    EXPECT_THROW(obs::TraceRecorder::read_binary(ss), InvariantError);
-  }
-  {
-    obs::TraceRecorder rec({.enabled = true, .capacity = 4});
-    rec.record(1.0, obs::Ev::kArrive, 1);
-    std::stringstream ss;
-    rec.write_binary(ss);
-    std::string bytes = ss.str();
-    bytes.resize(bytes.size() - 8);  // chop the tail of the only event
-    std::stringstream cut(bytes);
-    EXPECT_THROW(obs::TraceRecorder::read_binary(cut), InvariantError);
-  }
-}
-
 // --- Chrome export ----------------------------------------------------------
 
 // Golden for a tiny hand-driven timeline. Pinning the exact bytes keeps the
@@ -469,14 +425,19 @@ TEST(PaperExampleTrace, InstrumentationDoesNotPerturbTheRun) {
 }
 
 // The recorded trace itself is a pure function of the run: two identical
-// runs produce bit-identical binary trace images.
+// runs record bit-identical events.
 TEST(PaperExampleTrace, TraceIsReproducible) {
   const auto a = traced_run(traced_config());
   const auto b = traced_run(traced_config());
-  std::stringstream sa, sb;
-  a.trace_recorder->write_binary(sa);
-  b.trace_recorder->write_binary(sb);
-  EXPECT_EQ(sa.str(), sb.str());
+  const obs::TraceRecorder& ra = *a.trace_recorder;
+  const obs::TraceRecorder& rb = *b.trace_recorder;
+  ASSERT_EQ(ra.size(), rb.size());
+  EXPECT_EQ(ra.dropped(), rb.dropped());
+  for (std::size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&ra.event(i), &rb.event(i), sizeof(obs::TraceEvent)),
+              0)
+        << "event " << i;
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include "core/mwis_scheduler.hpp"
 #include "core/wsc_scheduler.hpp"
 #include "power/fixed_threshold.hpp"
-#include "runner/sinks.hpp"
+#include "runner/emit.hpp"
 #include "runner/sweep.hpp"
 #include "util/check.hpp"
 
@@ -361,20 +361,6 @@ TEST(SweepRunnerFailure, RethrowsFirstFailureByDefault) {
                std::runtime_error);
 }
 
-TEST(SweepRunnerFailure, CancelOffRunsEveryCell) {
-  runner::SweepOptions opts;
-  opts.threads = 1;
-  opts.cancel_on_failure = false;
-  opts.rethrow_failure = false;
-  const auto results = runner::SweepRunner(opts).run(failing_grid(4, 0));
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].status, runner::CellStatus::kFailed);
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].status, runner::CellStatus::kOk);
-    EXPECT_EQ(results[i].result.total_requests, 10u);
-  }
-}
-
 TEST(SweepRunnerFailure, MisdeclaredGridFailsBeforeRunning) {
   auto cells = failing_grid(2, 99);  // no failing run hooks...
   cells[1].run = nullptr;
@@ -424,14 +410,17 @@ TEST(ExperimentBuilder, ValidatesOnBuild) {
   EXPECT_EQ(p.replication_factor, 5u);
 }
 
-// --- merged metrics determinism ---------------------------------------------
+// --- merged metrics and trace determinism -----------------------------------
 //
-// Each cell owns a thread-confined MetricRegistry; merged_metrics folds them
-// in cell-index order after the sweep. The combined JSON must therefore be
-// bit-identical no matter how many workers executed the grid.
+// Each cell owns a thread-confined MetricRegistry and TraceRecorder;
+// merged_metrics and write_chrome_trace fold them in cell-index order after
+// the sweep. Both exports must therefore be bit-identical no matter how many
+// workers executed the grid.
 TEST(SweepRunnerParallel, MergedMetricsAreIdenticalAcrossThreadCounts) {
   const auto base = runner::ExperimentBuilder(runner::Workload::kCello)
                         .requests(kRequests)
+                        .trace({.categories = obs::cat_bit(obs::Cat::kPower),
+                                .capacity = 1u << 12})
                         .metrics()
                         .build();
   const auto grid = [&] {
@@ -445,6 +434,7 @@ TEST(SweepRunnerParallel, MergedMetricsAreIdenticalAcrossThreadCounts) {
   };
 
   std::string reference;
+  std::string reference_trace;
   for (std::size_t threads : {1u, 2u, 8u}) {
     runner::SweepOptions opts;
     opts.threads = threads;
@@ -452,11 +442,16 @@ TEST(SweepRunnerParallel, MergedMetricsAreIdenticalAcrossThreadCounts) {
     for (const auto& cell : results) {
       ASSERT_EQ(cell.status, runner::CellStatus::kOk);
       ASSERT_NE(cell.result.metrics, nullptr);
-      EXPECT_EQ(cell.result.trace_recorder, nullptr);  // tracing not requested
+      ASSERT_NE(cell.result.trace_recorder, nullptr);
     }
     const std::string json = runner::merged_metrics(results).to_json();
+    std::ostringstream trace;
+    runner::write_chrome_trace(trace, results);
     if (reference.empty()) {
       reference = json;
+      reference_trace = trace.str();
+      EXPECT_NE(reference_trace.find("\"name\":\"standby\""),
+                std::string::npos);
       // The fold saw every cell: six cells of kRequests completions each.
       std::ostringstream expect_completed;
       expect_completed << "\"requests_completed\":{\"kind\":\"counter\","
@@ -464,29 +459,76 @@ TEST(SweepRunnerParallel, MergedMetricsAreIdenticalAcrossThreadCounts) {
       EXPECT_NE(json.find(expect_completed.str()), std::string::npos) << json;
     } else {
       EXPECT_EQ(json, reference) << threads << " threads";
+      EXPECT_EQ(trace.str(), reference_trace) << threads << " threads";
     }
   }
 }
 
-TEST(ExperimentBuilderObs, CrossChecksSinkAgainstObsConfig) {
-  // A sink that asks for artifacts the run won't produce is a build error...
-  runner::SinkConfig wants_trace;
-  wants_trace.with_trace = true;
-  EXPECT_THROW(runner::ExperimentBuilder().sink(wants_trace).build(),
-               InvariantError);
-  runner::SinkConfig wants_metrics;
-  wants_metrics.with_metrics = true;
-  EXPECT_THROW(runner::ExperimentBuilder().sink(wants_metrics).build(),
-               InvariantError);
-  // ...and enabling the matching producers makes the same config valid.
-  const auto p = runner::ExperimentBuilder()
-                     .trace({.capacity = 1u << 10})
-                     .metrics()
-                     .sink(wants_trace)
-                     .build();
-  EXPECT_TRUE(p.obs.trace.enabled);
-  EXPECT_TRUE(p.obs.metrics);
-  EXPECT_TRUE(p.sink.with_trace);
+// The merged Chrome trace holds one process per OK traced cell: pid is the
+// cell index and the process is named "<tag>/<scheduler>". Untraced and
+// failed cells contribute nothing, to the trace or to the merged metrics.
+TEST(SweepRunnerParallel, ChromeTraceMergesOnlyOkTracedCells) {
+  const auto untraced = runner::ExperimentBuilder(runner::Workload::kCello)
+                            .requests(300)
+                            .disks(12)
+                            .build();
+  const auto traced = runner::ExperimentBuilder(untraced)
+                          .trace({.categories = obs::cat_bit(obs::Cat::kPower),
+                                  .capacity = 1u << 10})
+                          .build();
+  auto cell = [](const char* sched, const runner::ExperimentParams& p,
+                 const char* tag) {
+    runner::CellSpec c;
+    c.scheduler = sched;
+    c.params = p;
+    c.tag = tag;
+    return c;
+  };
+  std::vector<runner::CellSpec> cells = {cell("static", traced, "a"),
+                                         cell("heuristic", untraced, "b"),
+                                         cell("wsc", traced, "c"),
+                                         cell("static", traced, "d")};
+  cells[3].run = [](const runner::ExperimentParams&, const trace::Trace&,
+                    const placement::PlacementMap&) -> storage::RunResult {
+    throw std::runtime_error("cell exploded");
+  };
+  runner::SweepOptions opts;
+  opts.threads = 1;  // the failing cell is claimed last
+  opts.rethrow_failure = false;
+  const auto results = runner::SweepRunner(opts).run(std::move(cells));
+  ASSERT_EQ(results[0].status, runner::CellStatus::kOk);
+  ASSERT_EQ(results[1].status, runner::CellStatus::kOk);
+  ASSERT_EQ(results[2].status, runner::CellStatus::kOk);
+  ASSERT_EQ(results[3].status, runner::CellStatus::kFailed);
+
+  std::ostringstream os;
+  runner::write_chrome_trace(os, results);
+  const std::string trace = os.str();
+  auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto at = trace.find(needle); at != std::string::npos;
+         at = trace.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  auto process_meta = [](int pid, const char* name) {
+    return "{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
+           ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"" +
+           name + "\"}}";
+  };
+  EXPECT_EQ(trace.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0),
+            0u);
+  EXPECT_EQ(count("\"process_name\""), 2u);
+  EXPECT_EQ(count(process_meta(0, "a/static")), 1u);
+  EXPECT_EQ(count(process_meta(2, "c/wsc")), 1u);
+  EXPECT_GT(count("\"pid\":0,"), 2u);
+  EXPECT_GT(count("\"pid\":2,"), 2u);
+  EXPECT_EQ(count("\"pid\":1,"), 0u);
+  EXPECT_EQ(count("\"pid\":3,"), 0u);
+  EXPECT_EQ(trace.back(), '\n');
+  // No cell enabled metrics, so the merged registry is empty.
+  EXPECT_EQ(runner::merged_metrics(results).to_json(), "{}");
 }
 
 TEST(WorkloadNames, RoundTripThroughTheCanonicalTable) {

@@ -9,8 +9,9 @@
 #   3. default build + full test suite, warnings fatal
 #   4. fault smoke (fault-smoke label + the availability ablation end to
 #      end: the degraded-mode surface on its own, attributable stage)
-#   4b. obs smoke (obs-smoke label + the allocation-counting binary: the
-#      tracing/metrics surface and its zero-overhead-when-off proof)
+#   4b. obs smoke (obs-smoke label + the allocation-counting binary + the
+#      sweep_grid example: the tracing/metrics surface, its
+#      zero-overhead-when-off proof and its export end to end)
 #   4c. cache smoke (cache-smoke label + the cache-tier ablation: the
 #      power-aware cache & destage surface on its own, attributable stage)
 #   5. audit build (EASCHED_AUDIT=ON): every EAS_ASSERT/EAS_AUDIT compiled
@@ -98,14 +99,29 @@ stage_fault() {
   EAS_REQUESTS=3000 ./build/bench/bench_ablation_fault_availability > /dev/null
 }
 
-# Observability surface on its own label: recorder/metrics/sink goldens and
-# the paper-example trace replay, plus the allocation-counting binary that
-# proves tracing (compiled in but off) adds nothing to the kernel hot path.
+# Observability surface on its own label: recorder/metrics goldens and the
+# paper-example trace replay, plus the allocation-counting binary that proves
+# tracing (compiled in but off) adds nothing to the kernel hot path, plus
+# sweep_grid end to end: it must write a non-empty Chrome trace and print the
+# merged-metrics line. It runs in a temporary directory because it writes
+# sweep_grid.trace.json into the working directory.
 stage_obs() {
   cmake --preset default
   cmake --build --preset default -j "$jobs"
   ctest --preset obs-smoke -j "$jobs"
   ./build/tests/test_sim_alloc > /dev/null
+  local tmp
+  tmp="$(mktemp -d)"
+  (cd "$tmp" && "$root/build/examples/sweep_grid" > stdout.txt)
+  if [[ ! -s "$tmp/sweep_grid.trace.json" ]]; then
+    echo "sweep_grid wrote no Chrome trace" >&2
+    return 1
+  fi
+  if ! grep -q '"requests_completed":{"kind":"counter"' "$tmp/stdout.txt"; then
+    echo "sweep_grid printed no merged-metrics line" >&2
+    return 1
+  fi
+  rm -rf "$tmp"
 }
 
 # Cache & destage tier on its own label: replacement-policy goldens, the
