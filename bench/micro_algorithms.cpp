@@ -154,6 +154,36 @@ void BM_SolveGwminConflict(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveGwminConflict)->Arg(2000)->Arg(10000);
 
+/// The instance of BM_SolveGwminConflict through the implicit-neighbourhood
+/// path. One iteration is nodes -> selection: the bucket fill, the degree
+/// pass and the select loop. The CSR bench starts from a built graph; the
+/// implicit graph has no edges to build ahead of time.
+void BM_SolveGwminImplicit(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  trace::SyntheticTraceConfig tc;
+  tc.num_requests = n;
+  tc.num_data = static_cast<DataId>(n / 2);
+  tc.mean_rate = 35.0;
+  const auto t = trace::make_synthetic_trace(tc);
+  placement::ZipfPlacementConfig pc;
+  pc.num_disks = 60;
+  pc.num_data = static_cast<DataId>(n / 2);
+  pc.replication_factor = 3;
+  const auto placement = placement::make_zipf_placement(pc);
+  core::ConflictGraphWorkspace gws;
+  core::ImplicitConflictGraph g;
+  core::build_implicit_conflict_graph(t, placement, disk::DiskPowerParams{},
+                                      {}, gws, g);
+  core::GwminWorkspace ws;
+  std::vector<std::uint32_t> selected;
+  for (auto _ : state) {
+    core::build_buckets(g, t.size(), gws);
+    core::solve_gwmin_implicit(g, ws, selected);
+    benchmark::DoNotOptimize(selected.data());
+  }
+}
+BENCHMARK(BM_SolveGwminImplicit)->Arg(2000)->Arg(10000);
+
 /// Local-search refinement of the densest-pile seed on a fixed 20k-request
 /// Cello-like trace over the paper's 180-disk Zipf placement, at the
 /// replication factor given as the argument. One iteration refines a fresh

@@ -17,6 +17,15 @@
 // chain; the Fig 4 instance needs horizon >= 2 to contain every node the
 // paper draws. This is a documented approximation knob of the *candidate
 // set*, not of the solver.
+//
+// Two representations share Step 1 and the per-request node buckets:
+//   * ConflictGraph stores Step 2's edges as CSR. It feeds GWMIN2 (whose
+//     neighbourhood sums depend on CSR row order), the exact solver, and
+//     the tests and probes that inspect edges.
+//   * ImplicitConflictGraph stores no edges: a node's neighbours are the
+//     conflicting members of its two requests' buckets. It feeds
+//     solve_gwmin_implicit, the default MwisOfflineScheduler path, and is
+//     tested against the CSR pair in test_implicit_gwmin.
 #pragma once
 
 #include <cstdint>
@@ -75,13 +84,30 @@ struct ConflictGraph {
   graph::WeightedGraph to_weighted_graph() const;
 };
 
-/// Reusable scratch for build_conflict_graph: a sweep builds one graph per
-/// cell, and the per-disk request lists, per-request node buckets, and CSR
-/// cursor array dominate its transient allocations. Keeping one workspace
-/// alive across cells reuses those buffers at their high-water capacity.
+/// One member of a request's node bucket. Node v = (i, j, k) sits in the
+/// buckets of both its requests; carrying i and k inline lets a bucket scan
+/// test conflicts without touching the node array.
+struct BucketEntry {
+  std::uint32_t v = 0;
+  std::uint32_t i = 0;
+  DiskId k = kInvalidDisk;
+};
+
+/// Reusable scratch for both builds: a sweep builds one graph per cell, and
+/// the per-disk request lists, per-request node buckets, and counting-sort
+/// cursors dominate its transient allocations. All are flat arrays filled
+/// by counting sort; keeping one workspace alive across cells reuses them
+/// at their high-water capacity.
 struct ConflictGraphWorkspace {
-  std::vector<std::vector<std::uint32_t>> on_disk;
-  std::vector<std::vector<std::uint32_t>> bucket;
+  /// Requests whose data disk k stores, in trace order:
+  /// disk_requests[disk_offsets[k] .. disk_offsets[k+1]).
+  std::vector<std::size_t> disk_offsets;
+  std::vector<std::uint32_t> disk_requests;
+  /// Per-request node buckets (CSR build only; the implicit graph owns its
+  /// own): members of request r are
+  /// bucket[bucket_offsets[r] .. bucket_offsets[r+1]), in node-id order.
+  std::vector<std::size_t> bucket_offsets;
+  std::vector<BucketEntry> bucket;
   std::vector<std::size_t> cursor;
   /// Node count of the previous build — the reservation estimate for the
   /// next one (cells in a sweep are similar-sized).
@@ -100,9 +126,10 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
                                    const ConflictGraphOptions& options,
                                    ConflictGraphWorkspace& ws);
 
-/// Reusable scratch for solve_gwmin (the indexed selection heap,
-/// incremental degrees, neighbourhood weights, and the per-selection doomed
-/// list). Liveness is the heap's membership set — no separate alive array.
+/// Reusable scratch for solve_gwmin and solve_gwmin_implicit (the indexed
+/// selection heap, incremental degrees, neighbourhood weights, and the
+/// per-selection doomed list). Liveness is the heap's membership set — no
+/// separate alive array.
 struct GwminWorkspace {
   graph::IndexedScoreHeap<graph::TieOrder::kHighIndexWins> heap;
   std::vector<std::uint32_t> degree;
@@ -116,6 +143,8 @@ struct GwminWorkspace {
   /// heap re-key with its final post-round score.
   util::EpochMarker touched;
   std::vector<std::uint32_t> touch_list;
+  /// solve_gwmin_implicit only: live members at the front of each bucket.
+  std::vector<std::uint32_t> live;
 };
 
 /// Scalable GWMIN/GWMIN2 over a ConflictGraph: indexed max-heap keyed by
@@ -137,5 +166,60 @@ std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
 /// counting-allocator test in test_graph_diff).
 void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                  std::vector<std::uint32_t>& selected);
+
+/// The §3.1.2 graph with its edges left implicit: Step 1's nodes (numbered
+/// as in build_conflict_graph) plus one bucket per request. Bucket r holds
+/// bucket[bucket_offsets[r] .. bucket_offsets[r+1]), every node with i == r
+/// or j == r, in no particular order. Two nodes are adjacent iff they share
+/// a bucket and either have the same first request i or name different
+/// disks — exactly ConflictGraph's edges, none of which are stored. At
+/// rf=5 on the paper's Cello cell that is 2 bucket entries per node instead
+/// of ~66 CSR entries.
+struct ImplicitConflictGraph {
+  std::vector<SavingNode> nodes;
+  std::vector<std::size_t> bucket_offsets;
+  std::vector<BucketEntry> bucket;
+
+  std::size_t size() const { return nodes.size(); }
+  std::size_t num_requests() const {
+    return bucket_offsets.empty() ? 0 : bucket_offsets.size() - 1;
+  }
+
+  /// Total weight of a node subset. Always verifies (EAS_REQUIRE) that the
+  /// subset is independent, straight from the conflict rule: no node twice,
+  /// no two nodes with the same first request, and every request the subset
+  /// touches named on one disk only.
+  double selection_weight(const std::vector<std::uint32_t>& selected) const;
+};
+
+/// Step 1 plus the buckets, reusing `g`'s and `ws`'s buffers: with both
+/// warm, a build performs no heap allocation.
+void build_implicit_conflict_graph(const trace::Trace& trace,
+                                   const placement::PlacementMap& placement,
+                                   const disk::DiskPowerParams& power,
+                                   const ConflictGraphOptions& options,
+                                   ConflictGraphWorkspace& ws,
+                                   ImplicitConflictGraph& g);
+
+/// The second half of that build: refills g's buckets from g.nodes, whose
+/// requests must be < num_requests.
+void build_buckets(ImplicitConflictGraph& g, std::size_t num_requests,
+                   ConflictGraphWorkspace& ws);
+
+/// The degree of every node in the implicit graph, the same integers the
+/// CSR build's adj_offsets encode. Returns the edge count (sum of degrees
+/// over 2).
+std::size_t implicit_degrees(const ImplicitConflictGraph& g,
+                             std::vector<std::uint32_t>& degree);
+
+/// GWMIN (score w/(deg+1), highest id first among equal scores) over the
+/// implicit graph. Selects exactly the set solve_gwmin(g, false) selects on
+/// the CSR graph of the same instance: degrees are the same integers and
+/// the pop order is a total order, so the order in which neighbours are
+/// visited cannot matter. Permutes the members of each bucket (it moves
+/// dead nodes behind the live ones). With a warm workspace and `selected`
+/// buffer it performs no heap allocation. Returns the number of edges.
+std::size_t solve_gwmin_implicit(ImplicitConflictGraph& g, GwminWorkspace& ws,
+                                 std::vector<std::uint32_t>& selected);
 
 }  // namespace eas::core

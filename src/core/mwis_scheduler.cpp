@@ -1,5 +1,6 @@
 #include "core/mwis_scheduler.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/energy_model.hpp"
@@ -55,6 +56,60 @@ std::string MwisOfflineScheduler::name() const {
   return os.str();
 }
 
+OfflineAssignment MwisOfflineScheduler::solver_selection(
+    const trace::Trace& trace, const placement::PlacementMap& placement,
+    const disk::DiskPowerParams& power) {
+  // GWMIN runs on the implicit graph (no stored edges); GWMIN2 and the
+  // exact solver need the CSR adjacency. Either graph is freed on return,
+  // before refinement starts.
+  const bool implicit = options_.algorithm == MwisOptions::Algorithm::kGwmin;
+  ImplicitConflictGraph implicit_graph;
+  ConflictGraph csr_graph;
+  std::vector<std::uint32_t>& selected = selected_;
+  selected.clear();
+  if (implicit) {
+    build_implicit_conflict_graph(trace, placement, power, options_.graph,
+                                  graph_ws_, implicit_graph);
+    last_nodes_ = implicit_graph.size();
+    last_edges_ = solve_gwmin_implicit(implicit_graph, gwmin_ws_, selected);
+    // Verifies independence as a side effect.
+    last_saving_ = implicit_graph.selection_weight(selected);
+  } else {
+    csr_graph = build_conflict_graph(trace, placement, power, options_.graph,
+                                     graph_ws_);
+    last_nodes_ = csr_graph.size();
+    last_edges_ = csr_graph.num_edges();
+    if (options_.algorithm == MwisOptions::Algorithm::kGwmin2) {
+      solve_gwmin(csr_graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
+    } else {
+      const auto wg = csr_graph.to_weighted_graph();
+      const auto sol = graph::exact_mwis(wg, options_.exact_vertex_limit);
+      selected.assign(sol.vertices.begin(), sol.vertices.end());
+    }
+    // Verifies independence as a side effect.
+    last_saving_ = csr_graph.selection_weight(selected);
+  }
+  last_selected_ = selected.size();
+  const std::vector<SavingNode>& nodes =
+      implicit ? implicit_graph.nodes : csr_graph.nodes;
+
+  // Step 4: read the assignment off the selected opportunities.
+  OfflineAssignment a;
+  a.disk_of_request.assign(trace.size(), kInvalidDisk);
+  for (std::uint32_t v : selected) {
+    const SavingNode& n = nodes[v];
+    for (std::uint32_t r : {n.i, n.j}) {
+      // Independence guarantees agreement: any two selected nodes sharing
+      // a request name the same disk (schedule-constraint).
+      EAS_CHECK_MSG(a.disk_of_request[r] == kInvalidDisk ||
+                        a.disk_of_request[r] == n.k,
+                    "conflicting assignment for request " << r);
+      a.disk_of_request[r] = n.k;
+    }
+  }
+  return a;
+}
+
 OfflineAssignment MwisOfflineScheduler::schedule(
     const trace::Trace& trace, const placement::PlacementMap& placement,
     const disk::DiskPowerParams& power) {
@@ -71,49 +126,29 @@ OfflineAssignment MwisOfflineScheduler::schedule(
     }
   };
 
+  // --- forced assignment: every request has exactly one location ---------
+  // Then every valid assignment is this one: no seed, refinement or
+  // comparison can change it, so none of them runs.
+  const bool forced = std::all_of(
+      trace.records().begin(), trace.records().end(),
+      [&](const trace::TraceRecord& rec) {
+        return placement.replication_factor(rec.data) == 1;
+      });
+  if (forced) {
+    OfflineAssignment a;
+    a.disk_of_request.reserve(trace.size());
+    for (const auto& rec : trace.records()) {
+      a.disk_of_request.push_back(placement.original(rec.data));
+    }
+    a.validate(trace, placement);
+    return a;
+  }
+
   // --- solver seed: the §3.1.2 pipeline (Steps 1-4) ----------------------
   OfflineAssignment solver_seed;
   const bool want_solver = options_.seed != MwisOptions::Seed::kPileOnly;
   if (want_solver) {
-    const ConflictGraph graph =
-        build_conflict_graph(trace, placement, power, options_.graph,
-                             graph_ws_);
-    last_nodes_ = graph.size();
-    last_edges_ = graph.num_edges();
-
-    std::vector<std::uint32_t>& selected = selected_;
-    selected.clear();
-    switch (options_.algorithm) {
-      case MwisOptions::Algorithm::kGwmin:
-        solve_gwmin(graph, /*use_gwmin2=*/false, gwmin_ws_, selected);
-        break;
-      case MwisOptions::Algorithm::kGwmin2:
-        solve_gwmin(graph, /*use_gwmin2=*/true, gwmin_ws_, selected);
-        break;
-      case MwisOptions::Algorithm::kExact: {
-        const auto wg = graph.to_weighted_graph();
-        const auto sol = graph::exact_mwis(wg, options_.exact_vertex_limit);
-        selected.assign(sol.vertices.begin(), sol.vertices.end());
-        break;
-      }
-    }
-    // Verifies independence as a side effect.
-    last_saving_ = graph.selection_weight(selected);
-    last_selected_ = selected.size();
-
-    // Step 4: read the assignment off the selected opportunities.
-    solver_seed.disk_of_request.assign(trace.size(), kInvalidDisk);
-    for (std::uint32_t v : selected) {
-      const SavingNode& n = graph.nodes[v];
-      for (std::uint32_t r : {n.i, n.j}) {
-        // Independence guarantees agreement: any two selected nodes sharing
-        // a request name the same disk (schedule-constraint).
-        EAS_CHECK_MSG(solver_seed.disk_of_request[r] == kInvalidDisk ||
-                          solver_seed.disk_of_request[r] == n.k,
-                      "conflicting assignment for request " << r);
-        solver_seed.disk_of_request[r] = n.k;
-      }
-    }
+    solver_seed = solver_selection(trace, placement, power);
     densest_pile_fill(solver_seed, trace, placement, power);
     solver_seed.validate(trace, placement);
     refine(solver_seed);

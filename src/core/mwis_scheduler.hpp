@@ -7,7 +7,10 @@
 // their original location (Step 4's "any of its data locations").
 //
 // Solvers: GWMIN (the paper's choice, [22]), GWMIN2, or exact
-// branch-and-bound for small instances.
+// branch-and-bound for small instances. GWMIN runs on the implicit conflict
+// graph, which stores no edges; GWMIN2 and the exact solver build the CSR
+// graph. When every request has exactly one location the assignment is
+// forced, and schedule() returns it without building either graph.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +57,8 @@ class MwisOfflineScheduler final : public OfflineScheduler {
                              const placement::PlacementMap& placement,
                              const disk::DiskPowerParams& power) override;
 
-  /// Diagnostics from the most recent schedule() call.
+  /// Diagnostics from the most recent schedule() call (all zero / false
+  /// when the assignment was forced).
   double last_selected_saving() const { return last_saving_; }
   std::size_t last_graph_nodes() const { return last_nodes_; }
   std::size_t last_graph_edges() const { return last_edges_; }
@@ -63,6 +67,12 @@ class MwisOfflineScheduler final : public OfflineScheduler {
   bool last_used_pile_seed() const { return last_used_pile_; }
 
  private:
+  /// Steps 1-4: the conflict graph, the MWIS selection and the assignment
+  /// read off it, with unselected requests left kInvalidDisk.
+  OfflineAssignment solver_selection(const trace::Trace& trace,
+                                     const placement::PlacementMap& placement,
+                                     const disk::DiskPowerParams& power);
+
   MwisOptions options_;
   double last_saving_ = 0.0;
   std::size_t last_nodes_ = 0;

@@ -16,9 +16,10 @@
 // tests/test_graph_diff.cpp proves the two produce *identical* vertex sets
 // (the heap's (score, lowest-index) tie-break replicates the scan exactly).
 //
-// The scheduling-specific *implicit* conflict graph (which never
-// materialises its O(n²) edges) lives in core/mwis_scheduler; the explicit
-// algorithms here are the reference implementations it is tested against.
+// The scheduling conflict graph has its own GWMIN in core/conflict_graph:
+// solve_gwmin over a CSR ConflictGraph, and solve_gwmin_implicit, which
+// never stores the graph's edges and is what MwisOfflineScheduler runs by
+// default. Both select through the same indexed heap.
 #pragma once
 
 #include <cstddef>

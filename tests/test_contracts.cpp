@@ -6,9 +6,11 @@
 
 #include <string>
 
+#include "core/conflict_graph.hpp"
 #include "disk/disk.hpp"
 #include "graph/mwis.hpp"
 #include "graph/set_cover.hpp"
+#include "paper_example.hpp"
 #include "placement/placement.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
@@ -219,6 +221,53 @@ TEST(MwisContracts, SolversProduceContractCleanSolutions) {
        {graph::gwmin(g), graph::gwmin2(g), graph::exact_mwis(g)}) {
     EXPECT_NO_THROW(graph::check_independent(g, sol.vertices));
   }
+}
+
+TEST(MwisContracts, ImplicitCheckRejectsDependentSelections) {
+  // The §2.3 instance's implicit graph; the check needs no stored edges.
+  core::ConflictGraphWorkspace ws;
+  core::ImplicitConflictGraph g;
+  core::ConflictGraphOptions o;
+  o.successor_horizon = 2;
+  core::build_implicit_conflict_graph(testing::example_offline_trace(),
+                                      testing::example_placement(),
+                                      testing::example_power(), o, ws, g);
+  // Hand-pick node pairs of each conflicting shape.
+  std::vector<std::uint32_t> same_first;
+  std::vector<std::uint32_t> split_request;
+  for (std::uint32_t a = 0; a < g.size(); ++a) {
+    for (std::uint32_t b = a + 1; b < g.size(); ++b) {
+      const auto& u = g.nodes[a];
+      const auto& v = g.nodes[b];
+      if (same_first.empty() && u.i == v.i) same_first = {a, b};
+      const bool share =
+          u.i == v.i || u.i == v.j || u.j == v.i || u.j == v.j;
+      if (split_request.empty() && share && u.i != v.i && u.k != v.k) {
+        split_request = {a, b};
+      }
+    }
+  }
+  ASSERT_EQ(same_first.size(), 2u);
+  ASSERT_EQ(split_request.size(), 2u);
+  expect_contract_failure([&] { g.selection_weight(same_first); },
+                          {"precondition violated", "not independent"});
+  expect_contract_failure([&] { g.selection_weight(split_request); },
+                          {"precondition violated", "not independent"});
+  expect_contract_failure([&] { g.selection_weight({0, 0}); },
+                          {"selected twice"});
+  expect_contract_failure(
+      [&] {
+        g.selection_weight({static_cast<std::uint32_t>(g.size())});
+      },
+      {"out of range"});
+
+  // What the solver selects passes, and weighs what the nodes weigh.
+  core::GwminWorkspace gws;
+  std::vector<std::uint32_t> selected;
+  core::solve_gwmin_implicit(g, gws, selected);
+  double expected = 0.0;
+  for (std::uint32_t v : selected) expected += g.nodes[v].weight;
+  EXPECT_EQ(g.selection_weight(selected), expected);
 }
 
 // --- placement replica bounds -----------------------------------------------

@@ -428,5 +428,37 @@ TEST(SolverAllocation, WarmConflictSolveIsAllocationFree) {
       0u);
 }
 
+TEST(SolverAllocation, WarmImplicitBuildAndSolveAreAllocationFree) {
+  trace::SyntheticTraceConfig tc;
+  tc.num_requests = 400;
+  tc.num_data = 200;
+  tc.mean_rate = 30.0;
+  tc.seed = 21;
+  const auto t = trace::make_synthetic_trace(tc);
+  placement::ZipfPlacementConfig pc;
+  pc.num_disks = 24;
+  pc.num_data = 200;
+  pc.replication_factor = 3;
+  pc.seed = 22;
+  const auto placement = placement::make_zipf_placement(pc);
+  const disk::DiskPowerParams power;
+  core::ConflictGraphWorkspace gws;
+  core::ImplicitConflictGraph g;
+  core::GwminWorkspace ws;
+  std::vector<std::uint32_t> selected;
+  const auto build = [&] {
+    core::build_implicit_conflict_graph(t, placement, power, {}, gws, g);
+  };
+  build();
+  core::solve_gwmin_implicit(g, ws, selected);
+  g.selection_weight(selected);
+  ASSERT_GT(g.size(), 0u);
+  EXPECT_EQ(allocations_during(build), 0u);
+  EXPECT_EQ(allocations_during(
+                [&] { core::solve_gwmin_implicit(g, ws, selected); }),
+            0u);
+  EXPECT_EQ(allocations_during([&] { g.selection_weight(selected); }), 0u);
+}
+
 }  // namespace
 }  // namespace eas

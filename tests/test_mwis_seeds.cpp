@@ -101,6 +101,65 @@ TEST(MwisSeeds, PileOnlySkipsGraphConstruction) {
   EXPECT_EQ(sched.last_graph_edges(), 0u);
 }
 
+/// Every mode and solver returns the forced assignment, with no graph.
+void expect_forced_assignment(const trace::Trace& trace,
+                              const placement::PlacementMap& placement,
+                              const disk::DiskPowerParams& power) {
+  for (auto algorithm :
+       {MwisOptions::Algorithm::kGwmin, MwisOptions::Algorithm::kGwmin2,
+        MwisOptions::Algorithm::kExact}) {
+    for (auto seed : {MwisOptions::Seed::kSolverOnly,
+                      MwisOptions::Seed::kPileOnly, MwisOptions::Seed::kBest}) {
+      MwisOptions opts;
+      opts.algorithm = algorithm;
+      opts.seed = seed;
+      MwisOfflineScheduler sched(opts);
+      const auto a = sched.schedule(trace, placement, power);
+      ASSERT_EQ(a.disk_of_request.size(), trace.size());
+      for (std::size_t r = 0; r < trace.size(); ++r) {
+        EXPECT_EQ(a.disk_of_request[r], placement.original(trace[r].data))
+            << "request " << r;
+      }
+      EXPECT_EQ(sched.last_graph_nodes(), 0u);
+      EXPECT_EQ(sched.last_graph_edges(), 0u);
+      EXPECT_EQ(sched.last_selected_count(), 0u);
+      EXPECT_EQ(sched.last_selected_saving(), 0.0);
+      EXPECT_FALSE(sched.last_used_pile_seed());
+    }
+  }
+}
+
+TEST(MwisSeeds, SingleReplicaPlacementReturnsTheForcedAssignment) {
+  // 2000 requests at rf=1 make thousands of saving nodes: far past the
+  // exact solver's vertex limit, which the forced path never reaches.
+  placement::ZipfPlacementConfig pcfg;
+  pcfg.num_disks = 20;
+  pcfg.num_data = 400;
+  pcfg.replication_factor = 1;
+  pcfg.seed = 19;
+  trace::SyntheticTraceConfig tcfg;
+  tcfg.num_requests = 2000;
+  tcfg.num_data = 400;
+  tcfg.mean_rate = 8.0;
+  tcfg.seed = 19;
+  expect_forced_assignment(trace::make_synthetic_trace(tcfg),
+                           placement::make_zipf_placement(pcfg),
+                           disk::DiskPowerParams{});
+}
+
+TEST(MwisSeeds, MixedPlacementWithSingleReplicaRequestsIsForced) {
+  // In the §2.3 placement b1 lives on d1 only; a trace that requests only
+  // b1 is forced although other items have replicas.
+  std::vector<trace::TraceRecord> recs;
+  for (int t = 0; t < 8; ++t) {
+    recs.push_back({static_cast<double>(t), 0, 4096, true});
+  }
+  const auto placement = example_placement();
+  ASSERT_GT(placement.replication_factor(1), 1u);
+  expect_forced_assignment(trace::Trace(std::move(recs)), placement,
+                           example_power());
+}
+
 TEST(MwisSeeds, RefinementOnlyHelps) {
   const auto s = medium_scenario(17);
   auto run = [&](std::size_t passes) {

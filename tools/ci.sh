@@ -14,6 +14,9 @@
 #      zero-overhead-when-off proof and its export end to end)
 #   4c. cache smoke (cache-smoke label + the cache-tier ablation: the
 #      power-aware cache & destage surface on its own, attributable stage)
+#   4d. e2e (builds e2ebench/ and runs all three workloads once: a change
+#      that breaks the benchmark's build, its output checks or the
+#      paper_grid result digest fails here, not first in a benchmark run)
 #   5. audit build (EASCHED_AUDIT=ON): every EAS_ASSERT/EAS_AUDIT compiled
 #      into the release binary, full suite again
 #   6. ASan+UBSan smoke (sanitize-smoke preset, reduced request counts)
@@ -147,6 +150,30 @@ stage_chaos() {
   EAS_REQUESTS=3000 ./build/bench/bench_ablation_reliability > /dev/null
 }
 
+# The end-to-end benchmark, one short untraced pass per workload. A pass
+# fails on a non-zero exit or when its last line (the JSON result) does not
+# report "correct":true; paper_grid must also print the result digest that
+# every figure-preserving change keeps.
+stage_e2e() {
+  local w out
+  for w in paper_grid online_fleet tiers_rw; do
+    if ! out="$(python3 e2ebench/run.py --workload "$w" --seed 1 \
+                --seconds 1 --trace 0)"; then
+      echo "e2ebench $w exited non-zero" >&2
+      return 1
+    fi
+    if [[ "$(printf '%s\n' "$out" | tail -n 1)" != *'"correct":true'* ]]; then
+      echo "e2ebench $w: last line does not report \"correct\":true" >&2
+      return 1
+    fi
+    if [[ "$w" == paper_grid ]] &&
+       ! grep -qx '# result digest adeeac227ea008bd' <<< "$out"; then
+      echo "e2ebench paper_grid: result digest changed" >&2
+      return 1
+    fi
+  done
+}
+
 stage_lint() {
   if ! command -v clang-tidy > /dev/null 2>&1; then
     if [[ "${EAS_CI:-0}" == "1" ]]; then
@@ -177,6 +204,7 @@ run_stage fault stage_fault
 run_stage obs stage_obs
 run_stage cache stage_cache
 run_stage chaos stage_chaos
+run_stage e2e stage_e2e
 run_stage audit stage_audit
 run_stage asan stage_asan
 run_stage tsan stage_tsan
