@@ -3,6 +3,8 @@
 // the ≤2% observability overhead budget is judged against).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "disk/disk.hpp"
 #include "obs/trace_recorder.hpp"
 #include "sim/simulator.hpp"
@@ -44,6 +46,82 @@ void BM_ScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_ScheduleCancel);
+
+// Trace replay in the storage system's pattern: time-sorted arrivals, each
+// scheduling a service completion and re-arming its disk's spin-down timer
+// (cancel + schedule), so the heap holds only a few dozen dynamic events.
+// BM_TraceReplay feeds the arrivals through the sorted arrival lane;
+// BM_TraceReplayPerEvent is the reference: one schedule_at per arrival,
+// which puts every arrival in the heap up front.
+struct ReplayFixture {
+  static constexpr std::size_t kDisks = 16;
+  std::vector<double> times;
+  std::vector<std::uint32_t> disk_of;
+
+  explicit ReplayFixture(std::size_t n) {
+    std::uint64_t x = 0x9e3779b97f4a7c15ULL;  // xorshift: fixed, cheap
+    auto next = [&x] {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      return x;
+    };
+    double t = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      t += static_cast<double>(next() % 1000) * 1e-4;  // mean 50 ms gap
+      times.push_back(t);
+      disk_of.push_back(static_cast<std::uint32_t>(next() % kDisks));
+    }
+  }
+};
+
+struct ReplayState {
+  sim::Simulator& sim;
+  const ReplayFixture& fx;
+  std::vector<sim::EventHandle> timers =
+      std::vector<sim::EventHandle>(ReplayFixture::kDisks);
+  std::uint64_t served = 0;
+  std::uint64_t spin_downs = 0;
+
+  void arrive(std::size_t i) {
+    const std::uint32_t d = fx.disk_of[i];
+    sim.schedule_in(0.008, [this] { ++served; });
+    sim.cancel(timers[d]);
+    timers[d] = sim.schedule_in(0.5, [this] { ++spin_downs; });
+  }
+};
+
+void BM_TraceReplay(benchmark::State& state) {
+  const ReplayFixture fx(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    ReplayState rs{sim, fx};
+    sim.schedule_lane(
+        fx.times.size(), [&fx](std::size_t i) { return fx.times[i]; },
+        [&rs](std::size_t i) { rs.arrive(i); });
+    benchmark::DoNotOptimize(sim.run());
+    benchmark::DoNotOptimize(rs.spin_downs);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_TraceReplay)->Arg(70000);
+
+void BM_TraceReplayPerEvent(benchmark::State& state) {
+  const ReplayFixture fx(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sim::Simulator sim;
+    ReplayState rs{sim, fx};
+    for (std::size_t i = 0; i < fx.times.size(); ++i) {
+      sim.schedule_at(fx.times[i], [&rs, i] { rs.arrive(i); });
+    }
+    benchmark::DoNotOptimize(sim.run());
+    benchmark::DoNotOptimize(rs.spin_downs);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_TraceReplayPerEvent)->Arg(70000);
 
 void BM_DiskServiceLoop(benchmark::State& state) {
   // Submit-serve-complete cycles on one idle disk (no power transitions).

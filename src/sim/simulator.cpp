@@ -269,33 +269,78 @@ void Simulator::fire_top() {
   fn_at(s).consume();
 }
 
-bool Simulator::step() {
+void Simulator::open_lane() {
+  SimTime prev = now_;
+  for (std::size_t i = 0; i < lane_bits_.size(); ++i) {
+    const SimTime t = std::bit_cast<SimTime>(lane_bits_[i]);
+    if (std::isfinite(t) && t >= prev) {
+      prev = t;
+      continue;
+    }
+    lane_bits_.clear();  // leave no half-opened lane behind
+    EAS_REQUIRE_MSG(std::isfinite(t),
+                    "lane event time must be finite: index " << i);
+    EAS_REQUIRE_MSG(t >= now_, "cannot schedule in the past: lane index "
+                                   << i << " time=" << t << " now=" << now_);
+    EAS_REQUIRE_MSG(t >= prev, "lane times must be non-decreasing: index "
+                                   << i << " time=" << t << " < " << prev);
+  }
+  const std::uint64_t n = lane_bits_.size();
+  const bool seq_fits = next_seq_ + n <= kMaxSeq;
+  if (!seq_fits) lane_bits_.clear();
+  EAS_CHECK_MSG(seq_fits, "event sequence counter exhausted");
+  lane_seq0_ = next_seq_;
+  next_seq_ += n;
+  lane_head_ = 0;
+}
+
+void Simulator::fire_lane() {
+  const SimTime t = std::bit_cast<SimTime>(lane_bits_[lane_head_]);
+  EAS_ASSERT_MSG(t >= now_, "lane event would move the clock backwards: "
+                                << t << " < " << now_);
+  now_ = t;
+  ++fired_;
+  if (++lane_head_ != lane_bits_.size()) {
+    lane_fn_();
+    return;
+  }
+  // Last lane event: the lane stays active (no second lane can open under
+  // its callable) until the callback returns or throws, then closes.
+  struct CloseGuard {
+    Simulator* self;
+    ~CloseGuard() {
+      self->lane_bits_.clear();
+      self->lane_head_ = 0;
+      self->lane_fn_.reset();
+    }
+  } guard{this};
+  lane_fn_();
+}
+
+bool Simulator::fire_next(SimTime until) {
   if (has_staged()) fold_staged();
-  if (live() == 0) return false;
+  if (lane_left() != 0 && lane_first()) {
+    if (std::bit_cast<SimTime>(lane_bits_[lane_head_]) > until) return false;
+    fire_lane();
+    return true;
+  }
+  if (live() == 0 || ent(0).time() > until) return false;
   fire_top();
   return true;
 }
 
+bool Simulator::step() { return fire_next(kTimeInfinity); }
+
 std::uint64_t Simulator::run() {
   std::uint64_t n = 0;
-  while (true) {
-    if (has_staged()) fold_staged();
-    if (live() == 0) break;
-    fire_top();
-    ++n;
-  }
+  while (fire_next(kTimeInfinity)) ++n;
   return n;
 }
 
 std::uint64_t Simulator::run_until(SimTime until) {
   EAS_REQUIRE_MSG(until >= now_, "run_until target in the past");
   std::uint64_t n = 0;
-  while (true) {
-    if (has_staged()) fold_staged();
-    if (live() == 0 || ent(0).time() > until) break;
-    fire_top();
-    ++n;
-  }
+  while (fire_next(until)) ++n;
   now_ = until;
   return n;
 }

@@ -21,9 +21,14 @@
 //    tombstones, and next_event_time() is genuinely const;
 //  * new events are appended to the heap array as an unordered staged
 //    suffix and folded in only when something needs to pop or remove —
-//    burst scheduling (trace replay, batch schedulers) pays one O(n) Floyd
-//    heapify instead of n sift-ups. Order is unaffected: every pop still
-//    follows the unique (time, seq) total order.
+//    a burst of schedules pays one O(n) Floyd heapify instead of n
+//    sift-ups;
+//  * a time-sorted block (trace arrivals) bypasses the heap altogether: the
+//    sorted arrival lane replays it from a cursor over a flat time array,
+//    merged with the heap top on every pop, so the heap holds only the
+//    dynamic events (completions, timers, ticks) and stays cache-resident.
+// Order is unaffected by any of this: every pop follows the unique
+// (time, seq) total order, the lane's events included.
 #pragma once
 
 #include <bit>
@@ -117,6 +122,36 @@ class Simulator {
     return EventHandle{s, meta_[s].gen};
   }
 
+  /// Sorted arrival lane: schedules `n` events at times `time_of(0)` ..
+  /// `time_of(n - 1)`, each firing `fn(i)` with its index. The times must be
+  /// finite, non-decreasing and >= now().
+  ///
+  /// Equivalent to n back-to-back `schedule_at(time_of(i), [&] { fn(i); })`
+  /// calls: the lane takes the same block of n sequence numbers, and every
+  /// pop compares its head with the heap top by the same (time, seq) key,
+  /// so the fire order is identical. But the events never enter the heap —
+  /// they are replayed from a cursor over a flat time array, so a 70k-event
+  /// trace does not deepen every sift the dynamic events pay.
+  ///
+  /// Lane events carry no handle and cannot be cancelled. One lane may be
+  /// active at a time; it stays active until its last callback returns.
+  /// `fn` is stored inline (it must fit InlineCallback's buffer alongside a
+  /// pointer to stay allocation-free); the time array keeps its capacity
+  /// for the next lane.
+  template <typename TimeOf, typename F>
+  void schedule_lane(std::size_t n, TimeOf&& time_of, F&& fn) {
+    EAS_REQUIRE_MSG(lane_bits_.empty(), "an arrival lane is already active");
+    if (n == 0) return;
+    lane_bits_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      lane_bits_.push_back(time_to_bits(time_of(i)));
+    }
+    lane_fn_.emplace([this, f = std::forward<F>(fn)]() mutable {
+      f(lane_head_ - 1);  // fire_lane advanced the cursor past this event
+    });
+    open_lane();
+  }
+
   /// Schedules `fn` after a non-negative delay.
   template <typename F>
   EventHandle schedule_in(SimTime delay, F&& fn) {
@@ -133,14 +168,14 @@ class Simulator {
   /// True if the event is scheduled and not yet fired/cancelled.
   bool pending(EventHandle h) const;
 
-  /// Number of events waiting to fire.
-  std::size_t pending_count() const { return live(); }
+  /// Number of events waiting to fire, the lane's included.
+  std::size_t pending_count() const { return live() + lane_left(); }
 
-  /// Physical size of the ready queue (heap-ordered prefix plus staged
-  /// suffix). Always equals pending_count(): cancellation removes entries
-  /// in place, so there is no tombstone growth for it to diverge by.
-  /// Exposed so tests can pin that property down.
-  std::size_t queue_depth() const { return live(); }
+  /// Physical size of the ready queue (heap-ordered prefix, staged suffix
+  /// and the lane's unfired tail). Always equals pending_count():
+  /// cancellation removes entries in place, so there is no tombstone growth
+  /// for it to diverge by. Exposed so tests can pin that property down.
+  std::size_t queue_depth() const { return live() + lane_left(); }
 
   /// Runs until the queue drains. Returns the number of events fired.
   std::uint64_t run();
@@ -154,11 +189,15 @@ class Simulator {
 
   /// Time of the next pending event, or kTimeInfinity. Const in letter and
   /// spirit: the tombstone-free heap means there is nothing to lazily clean,
-  /// and the staging lane tracks its minimum time incrementally, so even
-  /// staged events are answered without a flush.
+  /// the staged suffix tracks its minimum time incrementally, so even staged
+  /// events are answered without a flush, and the lane's head is its
+  /// minimum.
   SimTime next_event_time() const {
     std::uint64_t bits = staged_min_bits_;
     if (heaped_ != 0 && ent(0).time_bits < bits) bits = ent(0).time_bits;
+    if (lane_left() != 0 && lane_bits_[lane_head_] < bits) {
+      bits = lane_bits_[lane_head_];
+    }
     return bits == kNoPendingBits ? kTimeInfinity
                                   : std::bit_cast<SimTime>(bits);
   }
@@ -325,6 +364,28 @@ class Simulator {
   std::uint32_t sink_hole(std::uint32_t pos);
   /// Pops the minimum and fires it (clock advance + callback invocation).
   void fire_top();
+  /// Validates the freshly filled lane times (finite, non-decreasing,
+  /// >= now(); the lane is emptied again on a violation) and assigns the
+  /// lane its block of sequence numbers.
+  void open_lane();
+  /// Unfired lane events.
+  std::size_t lane_left() const { return lane_bits_.size() - lane_head_; }
+  /// True when the lane's head fires before the heap's top (or the heap is
+  /// empty). Requires an unfired lane event and no staged suffix. Lane
+  /// event i carries sequence number lane_seq0_ + i and an all-zero slot
+  /// field; sequence numbers are unique, so the slot bits never decide.
+  bool lane_first() const {
+    if (live() == 0) return true;
+    const HeapEntry head{lane_bits_[lane_head_],
+                         (lane_seq0_ + lane_head_) << kSlotBits};
+    return head.fires_before(ent(0));
+  }
+  /// Fires the lane's head (clock advance + callback invocation); closes
+  /// the lane after its last callback.
+  void fire_lane();
+  /// Fires the next event, lane or heap, if its time is <= `until`.
+  /// Returns false when nothing did fire.
+  bool fire_next(SimTime until);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -351,6 +412,14 @@ class Simulator {
   /// O(1) and const even with staged entries.
   std::uint32_t heaped_ = 0;
   std::uint64_t staged_min_bits_ = kNoPendingBits;
+  /// Sorted arrival lane (see schedule_lane): the ordered time bits of the
+  /// block, the cursor of its next event, the sequence number of event 0,
+  /// and the callable that fires event lane_head_ - 1. lane_bits_ is
+  /// non-empty exactly while a lane is active.
+  std::vector<std::uint64_t> lane_bits_;
+  std::size_t lane_head_ = 0;
+  std::uint64_t lane_seq0_ = 0;
+  Callback lane_fn_;
   obs::TraceRecorder* recorder_ = nullptr;
 };
 

@@ -331,22 +331,23 @@ class System final : public core::SystemView {
   /// Trace requests that have arrived so far.
   std::size_t arrivals() const { return arrivals_; }
 
-  /// Schedules the arrival of every trace request. At its time a request is
-  /// traced and offered to the cache tier; unless the tier absorbed it (it
-  /// then completes at DRAM latency and must not be routed) it is handed to
-  /// `on_arrival`, which must outlive the run. With the tier disabled the
+  /// Schedules the arrival of every trace request through the simulator's
+  /// sorted arrival lane (the trace is time-sorted). At its time a request
+  /// is traced and offered to the cache tier; unless the tier absorbed it
+  /// (it then completes at DRAM latency and must not be routed) it is handed
+  /// to `on_arrival`, which must outlive the run. With the tier disabled the
   /// offer is a single branch and the disk path is untouched.
   template <typename OnArrival>
   void schedule_arrivals(const trace::Trace& trace, OnArrival& on_arrival) {
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-      sim_.schedule_at(trace[i].time, [this, &trace, &on_arrival, i] {
-        const disk::Request r = make_request(i, trace[i]);
-        ++arrivals_;
-        EAS_OBS(sim_.recorder(),
-                request_event(sim_.now(), obs::Ev::kArrive, r.id, r.data));
-        if (!cache_absorb(r)) on_arrival(r);
-      });
-    }
+    sim_.schedule_lane(
+        trace.size(), [&trace](std::size_t i) { return trace[i].time; },
+        [this, &trace, &on_arrival](std::size_t i) {
+          const disk::Request r = make_request(i, trace[i]);
+          ++arrivals_;
+          EAS_OBS(sim_.recorder(),
+                  request_event(sim_.now(), obs::Ev::kArrive, r.id, r.data));
+          if (!cache_absorb(r)) on_arrival(r);
+        });
   }
 
   /// Called by the batch driver each time a non-empty batch is assigned.

@@ -4,7 +4,9 @@
 // these tests can observe them).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/conflict_graph.hpp"
 #include "disk/disk.hpp"
@@ -135,6 +137,74 @@ TEST(SimulatorContracts, RunUntilCannotRewindTheClock) {
   sim::Simulator sim;
   sim.run_until(10.0);
   EXPECT_THROW(sim.run_until(9.0), InvariantError);
+}
+
+namespace {
+/// Installs a sorted arrival lane at `times` whose callbacks do nothing.
+void install_lane(sim::Simulator& sim, const std::vector<double>& times) {
+  sim.schedule_lane(
+      times.size(), [&times](std::size_t i) { return times[i]; },
+      [](std::size_t) {});
+}
+}  // namespace
+
+TEST(SimulatorContracts, LaneTimesMustBeNonDecreasing) {
+  sim::Simulator sim;
+  expect_contract_failure([&] { install_lane(sim, {1.0, 2.0, 1.5}); },
+                          {"precondition violated", "non-decreasing",
+                           "index 2", "time=1.5"});
+  // A rejected lane leaves nothing behind: no events, no active lane.
+  EXPECT_EQ(sim.pending_count(), 0u);
+  install_lane(sim, {1.0, 1.0, 2.0});
+  EXPECT_EQ(sim.run(), 3u);
+}
+
+TEST(SimulatorContracts, LaneTimeBeforeNowIsRejected) {
+  sim::Simulator sim;
+  sim.run_until(5.0);
+  expect_contract_failure([&] { install_lane(sim, {4.0, 6.0}); },
+                          {"precondition violated", "past", "now=5"});
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(SimulatorContracts, NonFiniteLaneTimeIsRejected) {
+  sim::Simulator sim;
+  expect_contract_failure(
+      [&] { install_lane(sim, {1.0, std::numeric_limits<double>::quiet_NaN()}); },
+      {"precondition violated", "finite", "index 1"});
+  expect_contract_failure(
+      [&] { install_lane(sim, {std::numeric_limits<double>::infinity()}); },
+      {"precondition violated", "finite", "index 0"});
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(SimulatorContracts, SecondActiveLaneIsRejected) {
+  sim::Simulator sim;
+  install_lane(sim, {1.0, 2.0});
+  expect_contract_failure([&] { install_lane(sim, {3.0}); },
+                          {"precondition violated", "already active"});
+  EXPECT_EQ(sim.pending_count(), 2u);
+  // The lane stays active until its last callback returns, so opening a
+  // lane from inside that callback is rejected too.
+  bool rejected_inside = false;
+  const std::vector<double> times{3.0, 4.0};
+  EXPECT_EQ(sim.run(), 2u);
+  sim.schedule_lane(
+      times.size(), [&times](std::size_t i) { return times[i]; },
+      [&](std::size_t i) {
+        if (i + 1 == times.size()) {
+          try {
+            install_lane(sim, {5.0});
+          } catch (const InvariantError&) {
+            rejected_inside = true;
+          }
+        }
+      });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_TRUE(rejected_inside);
+  // Drained: a new lane opens.
+  install_lane(sim, {5.0});
+  EXPECT_EQ(sim.run(), 1u);
 }
 
 // --- WSC cover validity -----------------------------------------------------

@@ -90,6 +90,39 @@ TEST(SimulatorAllocation, SteadyStateScheduleCancelIsAllocationFree) {
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
+TEST(SimulatorAllocation, FiringLaneEventsIsAllocationFree) {
+  // The sorted arrival lane allocates once, when its time array grows at
+  // install; firing its events — each scheduling a follow-up through the
+  // warm slot pool, like a disk completion — allocates nothing, and a
+  // second lane of no more events reuses the array's capacity.
+  Simulator sim;
+  double acc = 0.0;
+  for (int i = 0; i < 512; ++i) {
+    sim.schedule_in(1e-3 * (i % 64), [&acc, i] { acc += i; });
+  }
+  sim.run();
+
+  constexpr std::size_t kArrivals = 4096;
+  double start = sim.now();
+  auto time_of = [&start](std::size_t i) {
+    return start + 1e-3 * static_cast<double>(i / 2);  // pairs tie
+  };
+  auto on_arrival = [&sim, &acc](std::size_t i) {
+    sim.schedule_in(5e-3, [&acc, i] { acc += static_cast<double>(i); });
+  };
+  sim.schedule_lane(kArrivals, time_of, on_arrival);
+  EXPECT_EQ(allocations_during([&] { sim.run(); }), 0u)
+      << "firing lane events allocated";
+
+  start = sim.now();
+  const std::uint64_t n = allocations_during([&] {
+    sim.schedule_lane(kArrivals, time_of, on_arrival);
+    sim.run();
+  });
+  EXPECT_EQ(n, 0u) << "a second lane of the same size allocated";
+  EXPECT_EQ(sim.events_fired(), 512u + 4u * kArrivals);
+}
+
 TEST(SimulatorAllocation, TracingCompiledInButOffAddsNoAllocations) {
   // The observability hooks ride the simulator as a nullable pointer; with
   // no recorder attached (the default) every EAS_OBS site is one untaken

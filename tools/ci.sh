@@ -15,8 +15,9 @@
 #   4c. cache smoke (cache-smoke label + the cache-tier ablation: the
 #      power-aware cache & destage surface on its own, attributable stage)
 #   4d. e2e (builds e2ebench/ and runs all three workloads once: a change
-#      that breaks the benchmark's build, its output checks or the
-#      paper_grid result digest fails here, not first in a benchmark run)
+#      that breaks the benchmark's build, its output checks or any
+#      workload's seed-1 result digest fails here, not first in a
+#      benchmark run)
 #   5. audit build (EASCHED_AUDIT=ON): every EAS_ASSERT/EAS_AUDIT compiled
 #      into the release binary, full suite again
 #   6. ASan+UBSan smoke (sanitize-smoke preset, reduced request counts)
@@ -152,11 +153,18 @@ stage_chaos() {
 
 # The end-to-end benchmark, one short untraced pass per workload. A pass
 # fails on a non-zero exit or when its last line (the JSON result) does not
-# report "correct":true; paper_grid must also print the result digest that
-# every figure-preserving change keeps.
+# report "correct":true; each workload must also print the seed-1 result
+# digest that every figure-preserving change keeps. paper_grid covers the
+# MWIS offline path; online_fleet and tiers_rw cover the request path
+# (kernel, disks, power, cache, fault and reliability tiers) without it.
 stage_e2e() {
-  local w out
+  local w want out
   for w in paper_grid online_fleet tiers_rw; do
+    case "$w" in
+      paper_grid) want=adeeac227ea008bd ;;
+      online_fleet) want=88482c5c1883cf32 ;;
+      tiers_rw) want=aeb357bd7e1c455b ;;
+    esac
     if ! out="$(python3 e2ebench/run.py --workload "$w" --seed 1 \
                 --seconds 1 --trace 0)"; then
       echo "e2ebench $w exited non-zero" >&2
@@ -166,9 +174,8 @@ stage_e2e() {
       echo "e2ebench $w: last line does not report \"correct\":true" >&2
       return 1
     fi
-    if [[ "$w" == paper_grid ]] &&
-       ! grep -qx '# result digest adeeac227ea008bd' <<< "$out"; then
-      echo "e2ebench paper_grid: result digest changed" >&2
+    if ! grep -qx "# result digest $want" <<< "$out"; then
+      echo "e2ebench $w: result digest changed (want $want)" >&2
       return 1
     fi
   done
