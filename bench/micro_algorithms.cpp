@@ -1,5 +1,6 @@
-// Micro-benchmarks: combinatorial kernels (set cover, GWMIN, conflict-graph
-// construction, offline refinement, Zipf sampling).
+// Micro-benchmarks: combinatorial kernels (set cover, explicit-graph
+// construction, conflict-graph construction and GWMIN, offline refinement,
+// Zipf sampling).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -49,38 +50,6 @@ void BM_GreedySetCover(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySetCover)->Arg(64)->Arg(512)->Arg(4096);
-
-/// Random edge list with expected average degree 8 (weights via `rng` too).
-std::vector<std::pair<std::size_t, std::size_t>> random_edges(
-    std::size_t n, util::Rng& rng, std::vector<double>& weights) {
-  weights.clear();
-  for (std::size_t v = 0; v < n; ++v) weights.push_back(rng.uniform(1, 10));
-  const double density = 8.0 / static_cast<double>(n);  // avg degree ~8
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t v = u + 1; v < n; ++v) {
-      if (rng.bernoulli(density)) edges.emplace_back(u, v);
-    }
-  }
-  return edges;
-}
-
-graph::WeightedGraph random_graph(std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<double> weights;
-  const auto edges = random_edges(n, rng, weights);
-  graph::WeightedGraphBuilder b(std::move(weights));
-  for (const auto& [u, v] : edges) b.add_edge(u, v);
-  return b.build();
-}
-
-void BM_GwminExplicit(benchmark::State& state) {
-  const auto g = random_graph(static_cast<std::size_t>(state.range(0)), 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::gwmin(g));
-  }
-}
-BENCHMARK(BM_GwminExplicit)->Arg(256)->Arg(1024);
 
 /// CSR construction from a pre-generated edge list: items/sec should stay
 /// flat as n grows (linear counting-sort build — the old representation's

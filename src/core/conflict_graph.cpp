@@ -317,11 +317,6 @@ void gwmin_select_loop(const ConflictGraph& g, bool use_gwmin2,
 std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
                                        bool use_gwmin2) {
   GwminWorkspace ws;
-  return solve_gwmin(g, use_gwmin2, ws);
-}
-
-std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
-                                       GwminWorkspace& ws) {
   std::vector<std::uint32_t> selected;
   solve_gwmin(g, use_gwmin2, ws, selected);
   return selected;

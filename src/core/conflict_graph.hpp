@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "disk/params.hpp"
+#include "graph/indexed_heap.hpp"
 #include "graph/mwis.hpp"
 #include "placement/placement.hpp"
 #include "trace/trace.hpp"
@@ -131,7 +132,7 @@ ConflictGraph build_conflict_graph(const trace::Trace& trace,
 /// per-selection doomed list). Liveness is the heap's membership set — no
 /// separate alive array.
 struct GwminWorkspace {
-  graph::IndexedScoreHeap<graph::TieOrder::kHighIndexWins> heap;
+  graph::IndexedScoreHeap heap;
   std::vector<std::uint32_t> degree;
   /// nodes[v].weight copied dense: the select loop indexes weights at
   /// random, and an 8-byte-stride array stays cache-resident where the
@@ -156,14 +157,10 @@ struct GwminWorkspace {
 std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g,
                                        bool use_gwmin2 = false);
 
-/// As above, reusing `ws` buffers across calls (no steady-state allocation
-/// beyond the returned selection).
-std::vector<std::uint32_t> solve_gwmin(const ConflictGraph& g, bool use_gwmin2,
-                                       GwminWorkspace& ws);
-
-/// Out-parameter form: with a warmed workspace and a reused `selected`
-/// buffer, a solve performs no heap allocation at all (pinned by the
-/// counting-allocator test in test_graph_diff).
+/// As above, reusing `ws` buffers across calls and writing into `selected`:
+/// with a warmed workspace and a reused `selected` buffer, a solve performs
+/// no heap allocation at all (pinned by the counting-allocator test in
+/// test_graph_diff).
 void solve_gwmin(const ConflictGraph& g, bool use_gwmin2, GwminWorkspace& ws,
                  std::vector<std::uint32_t>& selected);
 

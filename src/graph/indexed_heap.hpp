@@ -1,5 +1,6 @@
 // Indexed 8-ary max-heap over (score, vertex) keys — the selection engine
-// behind the greedy solvers (GWMIN/GWMIN2 over both graph representations).
+// behind core::solve_gwmin (GWMIN/GWMIN2 over the CSR conflict graph) and
+// core::solve_gwmin_implicit.
 //
 // Why indexed rather than lazy: the greedy deletes the closed neighbourhood
 // N[v] on every selection and bumps the score of each survivor adjacent to a
@@ -19,14 +20,10 @@
 //
 // Determinism contract: keys are (score, vertex index) compared
 // lexicographically, so the heap's maximum is a *total-order* argmax — heap
-// shape never influences which vertex ranks first. `TieOrder` selects the
-// direction of the index tie-break so each caller reproduces its historical
-// selection sequence exactly:
-//   * kLowIndexWins  — matches a linear argmax scan keeping the first
-//     strictly-better vertex (graph::gwmin / graph::gwmin2);
-//   * kHighIndexWins — matches a max-heap of std::pair<double, uint32_t>
-//     (core::solve_gwmin), whose lexicographic pair compare prefers the
-//     higher index on equal scores.
+// shape never influences which vertex ranks first. On equal scores the
+// higher index wins: the order a max-heap of std::pair<double, uint32_t>
+// pops, which core::solve_gwmin used before this heap and which the sweep
+// fingerprints pin.
 #pragma once
 
 #include <cstddef>
@@ -37,9 +34,6 @@
 
 namespace eas::graph {
 
-enum class TieOrder { kLowIndexWins, kHighIndexWins };
-
-template <TieOrder kTie>
 class IndexedScoreHeap {
  public:
   struct Entry {
@@ -70,7 +64,7 @@ class IndexedScoreHeap {
   std::size_t size() const { return slots_.size(); }
   bool contains(std::uint32_t v) const { return pos_[v] != kAbsent; }
 
-  /// The (score, vertex) maximum under the tie order. Heap must be non-empty.
+  /// The (score, vertex) maximum. Heap must be non-empty.
   Entry top() const {
     EAS_ASSERT(!slots_.empty());
     return slots_[0];
@@ -126,11 +120,7 @@ class IndexedScoreHeap {
   /// Strict total order: does `a` rank above `b`?
   static bool precedes(const Entry& a, const Entry& b) {
     if (a.score != b.score) return a.score > b.score;
-    if constexpr (kTie == TieOrder::kLowIndexWins) {
-      return a.v < b.v;
-    } else {
-      return a.v > b.v;
-    }
+    return a.v > b.v;
   }
 
   void sift_up(std::size_t i) {

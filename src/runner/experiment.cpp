@@ -1,7 +1,9 @@
 #include "runner/experiment.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -218,12 +220,16 @@ std::string describe(const ExperimentParams& p) {
 
 namespace {
 
-// strtoull accepts a leading '-' and wraps it through unsigned arithmetic,
-// so "-3" would read as a huge thread count; treat any sign as unparseable.
+// The whole value must be decimal digits; anything else reads as unset (0).
+// strtoull would skip leading blanks and wrap a sign through unsigned
+// arithmetic (" -3" reads as 2^64-3), and would read "3x" as 3.
 std::size_t positive_from_env(const char* name) {
   const char* env = std::getenv(name);
-  if (env == nullptr || *env == '-' || *env == '+') return 0;
-  return std::strtoull(env, nullptr, 10);
+  if (env == nullptr) return 0;
+  const char* end = env + std::strlen(env);
+  std::size_t n = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, n);
+  return ec == std::errc{} && ptr == end ? n : 0;
 }
 
 }  // namespace

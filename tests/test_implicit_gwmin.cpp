@@ -7,12 +7,12 @@
 // node, the same selected set and a bit-identical selected saving. This
 // binary checks that on 300 seeded random instances (1–12 disks, 1–5
 // replicas, mixed replication factors, runs of duplicate timestamps,
-// horizons 1–4, both power models) with one set of reused workspaces, and
-// on the five Cello-like paper cells at a reduced request count. The random
-// sweep must contain both node-pair shapes the implicit rule treats
-// specially: the same (i,j) on two disks (counted from bucket i only) and
-// two successors of one request on the same disk (a conflict although the
-// disks agree).
+// horizons 1–4, both power models) and the tie-heavy equal-gap trace with
+// one set of reused workspaces, and on the five Cello-like paper cells at a
+// reduced request count. The random sweep must contain both node-pair
+// shapes the implicit rule treats specially: the same (i,j) on two disks
+// (counted from bucket i only) and two successors of one request on the
+// same disk (a conflict although the disks agree).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +27,7 @@
 #include "disk/params.hpp"
 #include "placement/placement.hpp"
 #include "runner/experiment.hpp"
+#include "support/gwmin_inputs.hpp"
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
 
@@ -177,6 +178,11 @@ TEST(ImplicitGwminDiff, MatchesCsrOnRandomInstances) {
     total.same_disk_succ += s.same_disk_succ;
     nodes += ws.implicit.size();
   }
+  // Most of the equal-gap trace's weights tie, so only the (score, id) total
+  // order keeps the two neighbour visit orders from diverging.
+  const auto eq = testing::equal_gap_instance();
+  expect_identical(eq.trace, eq.placement, disk::DiskPowerParams{}, 2, ws,
+                   "equal-gap trace");
   // The sweep must exercise both special shapes, and real graphs.
   EXPECT_GT(total.twins, 500u);
   EXPECT_GT(total.same_disk_succ, 500u);

@@ -540,18 +540,34 @@ TEST(WorkloadNames, RoundTripThroughTheCanonicalTable) {
   EXPECT_FALSE(runner::workload_from_string("tpc-c").has_value());
 }
 
+// Values that are not all decimal digits, or are zero, read as unset.
+// strtoull would wrap "-3" and " -3" to 2^64-3 and read "3x" as 3.
+constexpr const char* kUnparseable[] = {"0",  "-3", " -3",     "+3",
+                                        "3x", " 3", "garbage", ""};
+
 TEST(ThreadsFromEnv, ParsesAndClampsEAS_THREADS) {
+  ::unsetenv("EAS_THREADS");
+  const std::size_t fallback = runner::threads_from_env();
+  EXPECT_GE(fallback, 1u);
   ::setenv("EAS_THREADS", "3", 1);
   EXPECT_EQ(runner::threads_from_env(), 3u);
-  ::setenv("EAS_THREADS", "0", 1);
-  EXPECT_GE(runner::threads_from_env(), 1u);
-  // strtoull would wrap "-3" to 2^64-3; signs must fall back to the default.
-  ::setenv("EAS_THREADS", "-3", 1);
-  EXPECT_LE(runner::threads_from_env(), 1024u);
-  ::setenv("EAS_THREADS", "garbage", 1);
-  EXPECT_GE(runner::threads_from_env(), 1u);
+  for (const char* value : kUnparseable) {
+    ::setenv("EAS_THREADS", value, 1);
+    EXPECT_EQ(runner::threads_from_env(), fallback) << '"' << value << '"';
+  }
   ::unsetenv("EAS_THREADS");
-  EXPECT_GE(runner::threads_from_env(), 1u);
+}
+
+TEST(RequestsFromEnv, ParsesEAS_REQUESTSAndFallsBackOnJunk) {
+  ::setenv("EAS_REQUESTS", "5000", 1);
+  EXPECT_EQ(runner::requests_from_env(70000), 5000u);
+  for (const char* value : kUnparseable) {
+    ::setenv("EAS_REQUESTS", value, 1);
+    EXPECT_EQ(runner::requests_from_env(70000), 70000u)
+        << '"' << value << '"';
+  }
+  ::unsetenv("EAS_REQUESTS");
+  EXPECT_EQ(runner::requests_from_env(70000), 70000u);
 }
 
 }  // namespace
